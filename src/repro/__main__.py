@@ -936,6 +936,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
         )
     res = report.resilience
+    redirected = res["durability"]["hammer_redirected"]
+    if redirected:
+        print(
+            "durability audit: %d acked LBA(s) redirected off the flash "
+            "array by flips (counted apart from lost writes)" % redirected
+        )
     if (
         res["retries"] or res["timeouts"] or res["hedges"]
         or res["power_cuts"] or res["parked_writes"] or res["dropped_ops"]

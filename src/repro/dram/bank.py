@@ -67,31 +67,6 @@ class Bank:
         self.victim_baseline.clear()
         return True
 
-    # -- activation --------------------------------------------------------
-
-    def record_activation(self, row: int, row_policy: str = OPEN_PAGE) -> bool:
-        """Account one access to ``row``; returns True if it caused a row
-        activation (False when the row buffer already held the row)."""
-        if not 0 <= row < self.geometry.rows_per_bank:
-            raise DramAddressError(
-                "row %d out of range in bank %d" % (row, self.index)
-            )
-        if row_policy == OPEN_PAGE and self.open_row == row:
-            return False
-        self.open_row = row if row_policy == OPEN_PAGE else None
-        self.acts[row] = self.acts.get(row, 0) + 1
-        return True
-
-    def add_activations(self, row: int, count: int) -> None:
-        """Bulk-account ``count`` activations (batch hammer fast path)."""
-        if count < 0:
-            raise DramAddressError("activation count cannot be negative")
-        if count:
-            self.acts[row] = self.acts.get(row, 0) + count
-
-    def activation_count(self, row: int) -> int:
-        return self.acts.get(row, 0)
-
     # -- victim refresh (mitigations) ---------------------------------------
 
     def refresh_victim(self, row: int) -> None:

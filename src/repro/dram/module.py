@@ -8,16 +8,30 @@ row's neighbours inside one refresh window accumulate *disturbance* (see
 threshold, the stored bit really flips — whatever lives there (for us: L2P
 entries) is silently corrupted.
 
-Two execution paths produce identical per-window accounting:
+Every entry point feeds activations into one of three shared steps:
 
-* the **exact path** — each :meth:`DramModule.read`/:meth:`DramModule.write`
-  activates rows one at a time; the caller advances the shared clock; and
-* the **batch path** — :meth:`DramModule.hammer` applies an entire hammering
-  campaign (pattern x rate x duration) window-by-window in closed form, so
-  two simulated hours of multi-million-IOPS hammering cost milliseconds of
-  host time.
+* the **per-ACT step** (:meth:`DramModule._act`) runs one activation
+  through the TRR and PARA hooks and checks its neighbours for flips.
+  Scalar :meth:`~DramModule.read`/:meth:`~DramModule.write` reach it
+  through the row buffer; :meth:`~DramModule.activate_burst` and the
+  order-sensitive TRR replay of :meth:`~DramModule.access_batch` feed it
+  ordered activation sequences;
+* the **histogram step** (:meth:`DramModule._account_histogram`) adds a
+  coalesced ``(bank, row) -> count`` histogram to the current refresh
+  window and evaluates each victim once with the final counts.
+  :meth:`~DramModule.access_batch` and the vectorized
+  :meth:`~DramModule.read_batch`/:meth:`~DramModule.write_batch` use it;
+* the **pattern step** (:meth:`DramModule._add_pattern`) splits one
+  window's share of a repeating pattern round-robin over its positions.
+  :meth:`~DramModule.hammer` walks a campaign's refresh windows in closed
+  form and applies it per window, so two simulated hours of
+  multi-million-IOPS hammering cost milliseconds of host time.
 
-Property tests assert the two paths flip the same cells when no randomized
+Victim disturbance is computed in one place (:meth:`DramModule._disturbance`).
+The batch steps model the default TRR tracker by its disturbance cap (or
+full evasion when the pattern thrashes the sampler) and PARA by one
+binomial draw of mid-window refreshes per victim; property tests pin the
+histogram and scalar paths to the same flips when no randomized
 mitigation is active.
 """
 
@@ -77,6 +91,24 @@ class HammerResult:
     @property
     def flip_count(self) -> int:
         return len(self.flips)
+
+
+def _round_robin(counts: Dict[Tuple[int, int], int]):
+    """The canonical interleaving a coalesced histogram stands for: cycle
+    over its distinct keys in first-seen order, one activation each,
+    until every count is spent."""
+    remaining = dict(counts)
+    keys = list(counts)
+    while remaining:
+        for key in keys:
+            n = remaining.get(key)
+            if not n:
+                continue
+            yield key
+            if n == 1:
+                del remaining[key]
+            else:
+                remaining[key] = n - 1
 
 
 class _PatternPlan:
@@ -323,30 +355,11 @@ class DramModule:
     # activation & disturbance
     # ------------------------------------------------------------------
 
-    def activate(self, bank_idx: int, row: int) -> None:
-        """One explicit row activation on the exact accounting path.
-
-        This is the U-TRR pipeline's probe primitive: a black-box caller
-        that only knows (bank, row) coordinates can drive precisely
-        ordered activation sequences — the ordering is what distinguishes
-        one sampler policy from another — without composing physical
-        addresses.  Semantics are identical to the activation side of a
-        scalar access (row-buffer hits included under ``OPEN_PAGE``).
-        """
-        if not 0 <= bank_idx < self.geometry.total_banks:
-            raise DramAddressError("bank %d out of range" % bank_idx)
-        self._touch(bank_idx, row)
-
     def _touch(self, bank_idx: int, row: int) -> None:
-        """Account one access to (bank, row) on the exact path.
-
-        Equivalent to ``roll_epoch`` + ``record_activation`` + mitigation
-        hooks + per-victim checks, with the bank bookkeeping inlined — this
-        sits under every scalar read/write and small-batch access.
-        """
+        """Account one scalar access to (bank, row): epoch rollover, the
+        row buffer, counters, then the per-ACT step."""
         bank = self.banks[bank_idx]
-        rows_per_bank = self._rows_per_bank
-        if not 0 <= row < rows_per_bank:
+        if not 0 <= row < self._rows_per_bank:
             raise DramAddressError(
                 "row %d out of range in bank %d" % (row, bank_idx)
             )
@@ -365,25 +378,39 @@ class DramModule:
             bank.open_row = row
         else:
             bank.open_row = None
-        acts = bank.acts
-        acts[row] = acts.get(row, 0) + 1
         self._activations.value += 1
         if tracer is not None:
             tracer.emit("dram.activate", bank=bank_idx, row=row, count=1)
+        self._act(bank, bank_idx, row)
+
+    def _act(self, bank: Bank, bank_idx: int, row: int) -> None:
+        """The per-ACT step: count one activation of ``row`` in the
+        current window, run the TRR and PARA hooks, and apply any flips
+        its neighbours have earned.  Immune neighbours (no weak cell) are
+        skipped on the memoized threshold without a call."""
+        acts = bank.acts
+        acts[row] = acts.get(row, 0) + 1
+        rows_per_bank = self._rows_per_bank
         if self.trr is not None:
             victims = self.trr.on_activation(bank_idx, row)
-            if victims and tracer is not None:
-                tracer.emit("dram.trr", bank=bank_idx, row=row, victims=len(victims))
-            for victim in victims:
-                if 0 <= victim < rows_per_bank:
-                    bank.refresh_victim(victim)
+            if victims:
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        "dram.trr", bank=bank_idx, row=row, victims=len(victims)
+                    )
+                for victim in victims:
+                    if 0 <= victim < rows_per_bank:
+                        bank.refresh_victim(victim)
         if self.para is not None:
             victims = self.para.on_activation(bank_idx, row)
-            if victims and tracer is not None:
-                tracer.emit("dram.para", bank=bank_idx, row=row, victims=len(victims))
-            for victim in victims:
-                if 0 <= victim < rows_per_bank:
-                    bank.refresh_victim(victim)
+            if victims:
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        "dram.para", bank=bank_idx, row=row, victims=len(victims)
+                    )
+                for victim in victims:
+                    if 0 <= victim < rows_per_bank:
+                        bank.refresh_victim(victim)
         min_thresholds = self._min_thresholds
         for delta in self._victim_deltas:
             victim = row + delta
@@ -394,21 +421,22 @@ class DramModule:
                         bank_idx, victim
                     )
                 if min_threshold != _INF:
-                    self._check_victim(bank, victim, min_threshold)
+                    disturbance = self._disturbance(bank, victim)
+                    if disturbance >= min_threshold:
+                        self._apply_flips(bank, victim, disturbance)
 
-    def _check_victim(
-        self, bank: Bank, victim: int, min_threshold: Optional[float] = None
-    ) -> None:
-        """Apply any flips the victim's current disturbance has earned."""
-        if min_threshold is None:
-            min_threshold = self._min_thresholds.get((bank.index, victim))
-            if min_threshold is None:
-                min_threshold = self.vulnerability.min_threshold(bank.index, victim)
-            if min_threshold == _INF:
-                return
-        left, right = bank.victim_side_counts(victim)
-        # Inlined VulnerabilityModel.disturbance (counts are non-negative
-        # by construction, so the model's validation is redundant here).
+    def _disturbance(self, bank: Bank, victim: int) -> float:
+        """The victim's disturbance from its neighbours' activations since
+        its last refresh: :meth:`VulnerabilityModel.disturbance` with the
+        side counts read inline (they are non-negative by construction, so
+        the model's validation is redundant here)."""
+        acts = bank.acts
+        left = acts.get(victim - 1, 0)
+        right = acts.get(victim + 1, 0)
+        base = bank.victim_baseline.get(victim)
+        if base is not None:
+            left -= base[0]
+            right -= base[1]
         disturbance = left + right + self._synergy * (
             left if left < right else right
         )
@@ -416,9 +444,7 @@ class DramModule:
             left2, right2 = bank.victim_far_counts(victim)
             if left2 or right2:
                 disturbance += self._neighbor2_weight * (left2 + right2)
-        if disturbance < min_threshold:
-            return
-        self._apply_flips(bank, victim, disturbance)
+        return disturbance
 
     def _apply_flips(self, bank: Bank, victim: int, disturbance: float) -> int:
         """Flip every weak cell at or below ``disturbance``; idempotent."""
@@ -500,93 +526,69 @@ class DramModule:
         plan = self._pattern_plans.get(tuple(pattern))
         if plan is None:
             plan = self._plan_for(pattern)
-
-        clock = self.clock
-        interval = self.refresh_interval
-
-        if (
+        # Inert campaign: even if EVERY access landed in one window it could
+        # not reach the weakest victim cell, so no window can flip anything.
+        # The walk keeps its exact clock arithmetic (durations and window
+        # counts must not change) but only the final window's counts are
+        # applied: earlier windows' counts are cleared by the epoch rollover
+        # and are observable by nobody.
+        inert = (
             self.trr is None
             and self.para is None
             and total_accesses * plan.ub_coeff < plan.min_victim_threshold
-        ):
-            # Inert campaign: even if EVERY access landed in one window it
-            # could not reach the weakest victim cell, so no window can
-            # flip anything.  Walk the windows with the exact same float
-            # arithmetic (durations/window counts must match the general
-            # path bit-for-bit) but only materialize the final window's
-            # activation counts — earlier windows' counts are cleared by
-            # the epoch rollover and are observable by nobody.
-            now = clock._now
-            epoch = int(now / interval)
-            if 0 < total_accesses <= int(
-                access_rate * ((epoch + 1) * interval - now)
-            ):
-                # Entirely inside the current window: one window's counts,
-                # one clock bump (always positive, so advance()'s check is
-                # redundant), no flips possible.
-                end = now + total_accesses / access_rate
-                clock._now = end
-                banks = self.banks
-                base, extra = divmod(total_accesses, plan.length)
-                simple = plan.simple_entries
-                if simple is not None:
-                    for bank_idx, row, position in simple:
-                        bank = banks[bank_idx]
-                        if bank.epoch != epoch:
-                            bank.roll_epoch(epoch)
-                        n = base + (position < extra)
-                        if n:
-                            acts = bank.acts
-                            acts[row] = acts.get(row, 0) + n
-                else:
-                    for bank_idx in plan.banks:
-                        banks[bank_idx].roll_epoch(epoch)
-                    for bank_idx, row, positions in plan.entries:
-                        n = base * len(positions)
-                        if extra:
-                            n += bisect_left(positions, extra)
-                        if n:
-                            acts = banks[bank_idx].acts
-                            acts[row] = acts.get(row, 0) + n
-                self._activations.value += total_accesses
-                tracer = self.tracer
-                if tracer is not None:
-                    tracer.emit(
-                        "dram.window",
-                        epoch=epoch,
-                        accesses=total_accesses,
-                        pattern=plan.length,
-                    )
-                    tracer.emit_at(
-                        "dram.hammer",
-                        now,
-                        accesses=total_accesses,
-                        windows=1,
-                        flips=0,
-                        dur=end - now,
-                    )
-                return HammerResult(total_accesses, end - now, 1)
-            result = HammerResult(accesses=0, duration=0.0, windows=0)
-            self._hammer_inert(plan, total_accesses, access_rate, result)
-            result.duration = clock._now - now
-            if self.tracer is not None:
-                self.tracer.emit_at(
-                    "dram.hammer",
-                    now,
-                    accesses=result.accesses,
-                    windows=result.windows,
-                    flips=0,
-                    dur=result.duration,
-                )
-            return result
-
+        )
+        tracer = self.tracer
         result = HammerResult(accesses=0, duration=0.0, windows=0)
         flips_before = len(self.flips)
-        remaining = total_accesses
-        start_time = clock.now
+        start_time = self.clock._now
+        last_epoch = -1
+        last_accesses = 0
+        for epoch, accesses in self._windows(total_accesses, access_rate):
+            if tracer is not None:
+                tracer.emit(
+                    "dram.window", epoch=epoch, accesses=accesses, pattern=plan.length
+                )
+            result.accesses += accesses
+            result.windows += 1
+            if not inert:
+                self._hammer_window(plan, accesses, epoch, result)
+            elif epoch == last_epoch:
+                last_accesses += accesses
+            else:
+                last_epoch = epoch
+                last_accesses = accesses
+        if last_epoch >= 0:
+            self._add_pattern(plan, last_accesses, last_epoch)
+        self._activations.value += result.accesses
+        result.duration = self.clock._now - start_time
+        result.flips = self.flips[flips_before:]
+        if tracer is not None:
+            # Inert campaigns never touch a mitigation, so their event
+            # carries no mitigation fields.
+            fields = {} if inert else {
+                "trr_capped": result.trr_capped,
+                "para_refreshes": result.para_refreshes,
+            }
+            tracer.emit_at(
+                "dram.hammer",
+                start_time,
+                accesses=result.accesses,
+                windows=result.windows,
+                flips=len(result.flips),
+                dur=result.duration,
+                **fields,
+            )
+        return result
 
+    def _windows(self, total_accesses: int, access_rate: float):
+        """The refresh-window walk: advance the clock over each window's
+        share of a campaign and yield ``(epoch, accesses)`` after it, so
+        flip events are stamped when the window's hammering has happened."""
+        clock = self.clock
+        interval = self.refresh_interval
+        remaining = total_accesses
         while remaining > 0:
-            now = clock.now
+            now = clock._now
             epoch = int(now / interval)
             window_end = (epoch + 1) * interval
             budget = int(access_rate * (window_end - now))
@@ -599,97 +601,11 @@ class DramModule:
                     clock.advance(interval * 1e-6)
                 continue
             accesses = budget if budget < remaining else remaining
-            # Advance first so flip events are stamped when the window's
-            # hammering has actually happened.
-            clock.advance(accesses / access_rate)
-            self._hammer_window(plan, accesses, epoch, result)
-            remaining -= accesses
-            result.accesses += accesses
-            result.windows += 1
-        result.duration = clock.now - start_time
-        result.flips = self.flips[flips_before:]
-        if self.tracer is not None:
-            self.tracer.emit_at(
-                "dram.hammer",
-                start_time,
-                accesses=result.accesses,
-                windows=result.windows,
-                flips=len(result.flips),
-                dur=result.duration,
-                trr_capped=result.trr_capped,
-                para_refreshes=result.para_refreshes,
-            )
-        return result
-
-    def _hammer_inert(
-        self,
-        plan: _PatternPlan,
-        remaining: int,
-        access_rate: float,
-        result: HammerResult,
-    ) -> None:
-        """Window walk for campaigns that provably cannot flip: replicates
-        the general loop's clock/window arithmetic, then applies only the
-        final window's counts."""
-        clock = self.clock
-        interval = self.refresh_interval
-        tracer = self.tracer
-        last_epoch = -1
-        last_accesses = 0
-        while remaining > 0:
-            now = clock._now
-            epoch = int(now / interval)
-            window_end = (epoch + 1) * interval
-            budget = int(access_rate * (window_end - now))
-            if budget <= 0:
-                clock.advance_to(max(window_end, now))
-                if clock.epoch(interval) == epoch:
-                    clock.advance(interval * 1e-6)
-                continue
-            accesses = budget if budget < remaining else remaining
-            # Same float step as the general loop's advance() (always a
-            # positive increment, so its validation is redundant).
+            # SimClock.advance's float step; the increment is positive, so
+            # its validation is redundant.
             clock._now = now + accesses / access_rate
-            if tracer is not None:
-                tracer.emit(
-                    "dram.window",
-                    epoch=epoch,
-                    accesses=accesses,
-                    pattern=plan.length,
-                )
-            if epoch == last_epoch:
-                last_accesses += accesses
-            else:
-                last_epoch = epoch
-                last_accesses = accesses
             remaining -= accesses
-            result.accesses += accesses
-            result.windows += 1
-        if last_epoch < 0:
-            return
-        banks = self.banks
-        base, extra = divmod(last_accesses, plan.length)
-        simple = plan.simple_entries
-        if simple is not None:
-            for bank_idx, row, position in simple:
-                bank = banks[bank_idx]
-                if bank.epoch != last_epoch:
-                    bank.roll_epoch(last_epoch)
-                n = base + (position < extra)
-                if n:
-                    acts = bank.acts
-                    acts[row] = acts.get(row, 0) + n
-        else:
-            for bank_idx in plan.banks:
-                banks[bank_idx].roll_epoch(last_epoch)
-            for bank_idx, row, positions in plan.entries:
-                n = base * len(positions)
-                if extra:
-                    n += bisect_left(positions, extra)
-                if n:
-                    acts = banks[bank_idx].acts
-                    acts[row] = acts.get(row, 0) + n
-        self._activations.value += result.accesses
+            yield epoch, accesses
 
     def _plan_for(self, pattern: Sequence[Tuple[int, int]]) -> _PatternPlan:
         """Validate a hammer pattern and return its cached plan."""
@@ -719,6 +635,34 @@ class DramModule:
         self._pattern_plans[key] = plan
         return plan
 
+    def _add_pattern(self, plan: _PatternPlan, accesses: int, epoch: int) -> None:
+        """The pattern step: roll the pattern's banks into ``epoch`` and
+        split ``accesses`` round-robin over the pattern positions,
+        coalesced per (bank, row).  Every unique key receives one full
+        share per position it occupies, plus one more for each of its
+        positions below the remainder cutoff."""
+        trr = self.trr
+        banks = self.banks
+        for bank_idx in plan.banks:
+            if banks[bank_idx].roll_epoch(epoch) and trr is not None:
+                trr.on_window(bank_idx)
+        base, extra = divmod(accesses, plan.length)
+        simple = plan.simple_entries
+        if simple is not None:
+            for bank_idx, row, position in simple:
+                n = base + (position < extra)
+                if n:
+                    acts = banks[bank_idx].acts
+                    acts[row] = acts.get(row, 0) + n
+            return
+        for bank_idx, row, positions in plan.entries:
+            n = base * len(positions)
+            if extra:
+                n += bisect_left(positions, extra)
+            if n:
+                acts = banks[bank_idx].acts
+                acts[row] = acts.get(row, 0) + n
+
     def _hammer_window(
         self,
         plan: _PatternPlan,
@@ -727,29 +671,8 @@ class DramModule:
         result: HammerResult,
     ) -> None:
         """Apply one window's worth of a pattern and evaluate flips."""
+        self._add_pattern(plan, accesses, epoch)
         trr = self.trr
-        banks = self.banks
-        for bank_idx in plan.banks:
-            if banks[bank_idx].roll_epoch(epoch) and trr is not None:
-                trr.on_window(bank_idx)
-        # Round-robin split of the window's accesses over the pattern
-        # positions, coalesced per (bank, row): every unique key receives
-        # one full share per position it occupies, plus one more for each
-        # of its positions below the remainder cutoff.
-        base, extra = divmod(accesses, plan.length)
-        for bank_idx, row, positions in plan.entries:
-            n = base * len(positions)
-            if extra:
-                n += bisect_left(positions, extra)
-            if n:
-                acts = banks[bank_idx].acts
-                acts[row] = acts.get(row, 0) + n
-        self._activations.add(accesses)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "dram.window", epoch=epoch, accesses=accesses, pattern=plan.length
-            )
-
         # Closed-form skip: when no mitigation is drawing per-window state
         # and even the best-case disturbance this window cannot reach the
         # weakest victim cell, the per-victim evaluation is a no-op — don't
@@ -761,7 +684,7 @@ class DramModule:
             and accesses * plan.ub_coeff < plan.min_victim_threshold
         ):
             return
-
+        banks = self.banks
         for bank_idx, victim_rows, distinct_rows in plan.victims:
             bank = banks[bank_idx]
             trr_capped = trr is not None and not trr.evaded_by(distinct_rows)
@@ -789,12 +712,7 @@ class DramModule:
             # run the full evaluation — it sets the trr_capped flag and
             # consumes PARA's random draws in the same order as the seed.)
             return
-        left, right = bank.victim_side_counts(victim)
-        if self.vulnerability.neighbor2_weight:
-            left2, right2 = bank.victim_far_counts(victim)
-            disturbance = self.vulnerability.disturbance(left, right, left2, right2)
-        else:
-            disturbance = self.vulnerability.disturbance(left, right)
+        disturbance = self._disturbance(bank, victim)
         if trr_capped:
             cap = self.vulnerability.disturbance(
                 self.trr.refresh_threshold, self.trr.refresh_threshold
@@ -804,8 +722,8 @@ class DramModule:
                 if result is not None:
                     result.trr_capped = True
         if self.para is not None:
-            adjacent = left + right
-            refreshes = self.para.draw_refresh_count(adjacent)
+            left, right = bank.victim_side_counts(victim)
+            refreshes = self.para.draw_refresh_count(left + right)
             if refreshes:
                 # Disturbance must accumulate inside one refresh-free
                 # run; with k refreshes the longest run is ~1/(k+1)
@@ -838,8 +756,16 @@ class DramModule:
         access loop would have — flips are idempotent and monotone in the
         counts, so evaluating once at the end yields the same flip set as
         evaluating after every access.  Returns the new flip events.
+
+        Order-sensitive TRR configurations (``random_sample``,
+        ``first_k_per_window``, shared trackers, wide radii) hold rows that
+        depend on the activation *sequence*, so the cap-or-evade
+        approximation is unfaithful for them: the histogram is then
+        replayed exactly in its canonical interleaving, cycling over the
+        distinct (bank, row) keys in first-seen order.
         """
         counts: Dict[Tuple[int, int], int] = {}
+        bank_rows: Dict[int, List[int]] = {}
         for bank_idx, row, n in activations:
             if n < 0:
                 raise ConfigError("activation count cannot be negative")
@@ -849,29 +775,17 @@ class DramModule:
                 raise DramAddressError("row %d out of range" % row)
             if n:
                 key = (bank_idx, row)
-                counts[key] = counts.get(key, 0) + n
+                if key in counts:
+                    counts[key] += n
+                else:
+                    counts[key] = n
+                    bank_rows.setdefault(bank_idx, []).append(row)
         if not counts:
             return []
         if self.trr is not None and self.trr.exact_batch_replay:
-            return self._access_batch_exact(counts)
+            return self._replay_activations(_round_robin(counts))
         flips_before = len(self.flips)
-        epoch = self.clock.epoch(self.refresh_interval)
-        trr = self.trr
-        bank_rows: Dict[int, List[int]] = {}
-        total = 0
-        for (bank_idx, row), n in counts.items():
-            bank = self.banks[bank_idx]
-            if bank_idx not in bank_rows:
-                if bank.roll_epoch(epoch) and trr is not None:
-                    trr.on_window(bank_idx)
-                bank_rows[bank_idx] = []
-            bank_rows[bank_idx].append(row)
-            bank.acts[row] = bank.acts.get(row, 0) + n
-            total += n
-        self._activations.add(total)
-        if self.tracer is not None:
-            self.tracer.emit("dram.activate", count=total)
-        self._evaluate_batch_victims(bank_rows)
+        self._account_histogram(counts, bank_rows)
         return self.flips[flips_before:]
 
     def activate_burst(
@@ -899,45 +813,15 @@ class DramModule:
                 )
         return self._replay_activations(activations)
 
-    def _access_batch_exact(self, counts: Dict[Tuple[int, int], int]) -> List[FlipEvent]:
-        """Order-sensitive replay of an activation histogram.
-
-        Which rows an order-sensitive sampler (``random_sample``,
-        ``first_k_per_window``, shared trackers, wide radii) holds depends
-        on the activation *sequence*, so the cap-or-evade approximation is
-        unfaithful.  This path reconstructs the canonical interleaving a
-        coalesced burst stands for — cycling over the histogram's distinct
-        (bank, row) keys in first-seen order — and replays it exactly.
-        """
-
-        def round_robin():
-            remaining = dict(counts)
-            keys = list(counts)
-            while remaining:
-                for key in keys:
-                    n = remaining.get(key)
-                    if not n:
-                        continue
-                    yield key
-                    if n == 1:
-                        del remaining[key]
-                    else:
-                        remaining[key] = n - 1
-
-        return self._replay_activations(round_robin())
-
     def _replay_activations(self, seq) -> List[FlipEvent]:
-        """Run pre-validated (bank, row) activations one-by-one through
-        the exact sampler + victim pipeline (shared by
-        :meth:`activate_burst` and :meth:`_access_batch_exact`)."""
+        """Run pre-validated (bank, row) activations one by one through the
+        per-ACT step, rolling each bank into the current window at its
+        first activation; returns the new flip events."""
         flips_before = len(self.flips)
         epoch = self.clock.epoch(self.refresh_interval)
         trr = self.trr
-        para = self.para
-        tracer = self.tracer
-        rows_per_bank = self._rows_per_bank
         banks = self.banks
-        deltas = self._victim_deltas
+        act = self._act
         rolled: set = set()
         total = 0
         for bank_idx, row in seq:
@@ -946,52 +830,48 @@ class DramModule:
                 if bank.roll_epoch(epoch) and trr is not None:
                     trr.on_window(bank_idx)
                 rolled.add(bank_idx)
-            bank.acts[row] = bank.acts.get(row, 0) + 1
+            act(bank, bank_idx, row)
             total += 1
-            if trr is not None:
-                victims = trr.on_activation(bank_idx, row)
-                if victims:
-                    if tracer is not None:
-                        tracer.emit(
-                            "dram.trr", bank=bank_idx, row=row, victims=len(victims)
-                        )
-                    for victim in victims:
-                        if 0 <= victim < rows_per_bank:
-                            bank.refresh_victim(victim)
-            if para is not None:
-                victims = para.on_activation(bank_idx, row)
-                if victims:
-                    if tracer is not None:
-                        tracer.emit(
-                            "dram.para", bank=bank_idx, row=row, victims=len(victims)
-                        )
-                    for victim in victims:
-                        if 0 <= victim < rows_per_bank:
-                            bank.refresh_victim(victim)
-            for delta in deltas:
-                victim = row + delta
-                if 0 <= victim < rows_per_bank:
-                    self._check_victim(bank, victim)
         if total:
             self._activations.add(total)
-            if tracer is not None:
-                tracer.emit("dram.activate", count=total)
+            if self.tracer is not None:
+                self.tracer.emit("dram.activate", count=total)
         return self.flips[flips_before:]
 
-    def _evaluate_batch_victims(self, bank_rows: Dict[int, List[int]]) -> None:
-        """Victim evaluation for a batch: ``bank_rows`` holds the distinct
-        rows activated per bank, in activation order."""
-        reach = self._victim_deltas
+    def _account_histogram(
+        self, counts: Dict[Tuple[int, int], int], bank_rows: Dict[int, List[int]]
+    ) -> None:
+        """The histogram step: add ``counts`` to the current window, then
+        evaluate every victim once with the final counts.  ``bank_rows``
+        lists each touched bank's distinct activated rows in first-touch
+        order (a bank may have none); banks are rolled and evaluated in
+        that order."""
+        epoch = self.clock.epoch(self.refresh_interval)
         trr = self.trr
+        banks = self.banks
+        for bank_idx in bank_rows:
+            if banks[bank_idx].roll_epoch(epoch) and trr is not None:
+                trr.on_window(bank_idx)
+        total = 0
+        for (bank_idx, row), n in counts.items():
+            acts = banks[bank_idx].acts
+            acts[row] = acts.get(row, 0) + n
+            total += n
+        if total:
+            self._activations.value += total
+            if self.tracer is not None:
+                self.tracer.emit("dram.activate", count=total)
+        reach = self._victim_deltas
+        rows_per_bank = self._rows_per_bank
         for bank_idx, rows in bank_rows.items():
-            victim_rows = set()
-            for row in rows:
-                for delta in reach:
-                    victim = row + delta
-                    if 0 <= victim < self._rows_per_bank:
-                        victim_rows.add(victim)
-            bank = self.banks[bank_idx]
-            trr_capped = trr is not None and not trr.evaded_by(len(set(rows)))
+            victim_rows = {
+                row + delta
+                for row in rows
+                for delta in reach
+                if 0 <= row + delta < rows_per_bank
+            }
+            bank = banks[bank_idx]
+            trr_capped = trr is not None and not trr.evaded_by(len(rows))
             for victim in sorted(victim_rows):
                 self._evaluate_victim(bank, victim, trr_capped, None)
 
@@ -1037,32 +917,37 @@ class DramModule:
             return None
         return banks_a.tolist(), rows_a.tolist(), columns_a.tolist()
 
-    def _account_batch(self, banks: List[int], rows: List[int]) -> None:
-        """Activation accounting for an in-order batch of row touches:
-        mirrors a loop of :meth:`_touch` calls — per-bank open-row collapse,
-        epoch rollover, counters — then evaluates victims once."""
-        if len(banks) <= 16:
+    def _account_batch(self, phys_addrs: Sequence[int], length: int, op: str):
+        """Locate a vectorized read/write batch and account it like a loop
+        of scalar accesses: counters, per-bank open-row collapse, then the
+        histogram step.  Returns the located ``(banks, rows, columns)``, or
+        None — with nothing accounted — when the batch must run access by
+        access (:meth:`_batch_needs_exact_path`, or a row-crossing span)."""
+        if self._batch_needs_exact_path():
+            return None
+        located = self._locate_batch(phys_addrs, length)
+        if located is None:
+            return None
+        banks, rows, _columns = located
+        n = len(banks)
+        (self._reads if op == "r" else self._writes).value += n
+        if self.tracer is not None:
+            self.tracer.emit("dram.access", op=op, count=n, len=length)
+        if n <= 16:
             # Tiny batch: per-access exact accounting is cheaper than the
             # dict machinery below, and it IS the reference semantics.
             touch = self._touch
             for bank_idx, row in zip(banks, rows):
                 touch(bank_idx, row)
-            return
-        epoch = self.clock.epoch(self.refresh_interval)
+            return located
         open_page = self.row_policy == OPEN_PAGE
-        bank_objs: Dict[int, Bank] = {}
         open_rows: Dict[int, Optional[int]] = {}
         bank_rows: Dict[int, List[int]] = {}
         counts: Dict[Tuple[int, int], int] = {}
         row_hits = 0
         for bank_idx, row in zip(banks, rows):
-            bank = bank_objs.get(bank_idx)
-            if bank is None:
-                bank = self.banks[bank_idx]
-                bank_objs[bank_idx] = bank
-                if bank.roll_epoch(epoch) and self.trr is not None:
-                    self.trr.on_window(bank_idx)
-                open_rows[bank_idx] = bank.open_row
+            if bank_idx not in bank_rows:
+                open_rows[bank_idx] = self.banks[bank_idx].open_row
                 bank_rows[bank_idx] = []
             if open_page:
                 if open_rows[bank_idx] == row:
@@ -1075,19 +960,22 @@ class DramModule:
                 bank_rows[bank_idx].append(row)
             else:
                 counts[key] += 1
-        for (bank_idx, row), n in counts.items():
-            acts = bank_objs[bank_idx].acts
-            acts[row] = acts.get(row, 0) + n
-        for bank_idx, bank in bank_objs.items():
-            bank.open_row = open_rows[bank_idx] if open_page else None
+        for bank_idx, open_row in open_rows.items():
+            self.banks[bank_idx].open_row = open_row if open_page else None
         if row_hits:
             self._row_hits.value += row_hits
-        total = len(banks) - row_hits
-        if total:
-            self._activations.value += total
-            if self.tracer is not None:
-                self.tracer.emit("dram.activate", count=total)
-        self._evaluate_batch_victims(bank_rows)
+        self._account_histogram(counts, bank_rows)
+        return located
+
+    def _row_groups(self, banks: List[int], rows: List[int]):
+        """Group a batch's indices by (bank, row): yields ``(bank, row,
+        indices)`` with each group's indices in batch order."""
+        key = np.asarray(banks) * self._rows_per_bank + np.asarray(rows)
+        order = np.argsort(key, kind="stable")
+        boundaries = np.flatnonzero(np.diff(key[order])) + 1
+        for group in np.split(order, boundaries):
+            first = int(group[0])
+            yield self.banks[banks[first]], rows[first], group
 
     def read_batch(self, phys_addrs: Sequence[int], length: int) -> np.ndarray:
         """Read ``length`` bytes at each address; returns ``(n, length)``.
@@ -1103,18 +991,12 @@ class DramModule:
         out = np.empty((n, length), dtype=np.uint8)
         if n == 0:
             return out
-        located = None
-        if not (self.ecc_enabled or self.trr is not None or self.para is not None):
-            located = self._locate_batch(phys_addrs, length)
+        located = self._account_batch(phys_addrs, length, "r")
         if located is None:
             for i, addr in enumerate(phys_addrs):
                 out[i] = np.frombuffer(self.read(int(addr), length), dtype=np.uint8)
             return out
         banks, rows, columns = located
-        self._reads.value += n
-        if self.tracer is not None:
-            self.tracer.emit("dram.access", op="r", count=n, len=length)
-        self._account_batch(banks, rows)
         if n < self._GROUP_MIN:
             for i in range(n):
                 array = self.banks[banks[i]].data_rows.get(rows[i])
@@ -1124,18 +1006,9 @@ class DramModule:
                     column = columns[i]
                     out[i] = array[column : column + length]
             return out
-        banks_a = np.asarray(banks)
-        rows_a = np.asarray(rows)
         columns_a = np.asarray(columns)
-        key = banks_a * self._rows_per_bank + rows_a
-        order = np.argsort(key, kind="stable")
-        boundaries = np.flatnonzero(np.diff(key[order])) + 1
-        for group in np.split(order, boundaries):
-            first = int(group[0])
-            gathered = self.banks[banks_a[first]].read_gather(
-                int(rows_a[first]), columns_a[group], length
-            )
-            out[group] = gathered
+        for bank, row, group in self._row_groups(banks, rows):
+            out[group] = bank.read_gather(row, columns_a[group], length)
         return out
 
     def write_batch(self, phys_addrs: Sequence[int], data: np.ndarray) -> None:
@@ -1156,35 +1029,21 @@ class DramModule:
         if data.ndim != 2 or data.shape[0] != n:
             raise DramAddressError("write_batch data must be (n, length) bytes")
         length = data.shape[1]
-        located = None
-        if not (self.ecc_enabled or self.trr is not None or self.para is not None):
-            located = self._locate_batch(phys_addrs, length)
+        located = self._account_batch(phys_addrs, length, "w")
         if located is None:
             for i, addr in enumerate(phys_addrs):
                 self.write(int(addr), data[i].tobytes())
             return
         banks, rows, columns = located
-        self._writes.value += n
-        if self.tracer is not None:
-            self.tracer.emit("dram.access", op="w", count=n, len=length)
-        self._account_batch(banks, rows)
         if n < self._GROUP_MIN:
             for i in range(n):
                 array = self.banks[banks[i]]._data(rows[i], allocate=True)
                 column = columns[i]
                 array[column : column + length] = data[i]
             return
-        banks_a = np.asarray(banks)
-        rows_a = np.asarray(rows)
         columns_a = np.asarray(columns)
-        key = banks_a * self._rows_per_bank + rows_a
-        order = np.argsort(key, kind="stable")
-        boundaries = np.flatnonzero(np.diff(key[order])) + 1
-        for group in np.split(order, boundaries):
-            first = int(group[0])
-            self.banks[banks_a[first]].write_scatter(
-                int(rows_a[first]), columns_a[group], data[group]
-            )
+        for bank, row, group in self._row_groups(banks, rows):
+            bank.write_scatter(row, columns_a[group], data[group])
 
     # ------------------------------------------------------------------
     # observability helpers

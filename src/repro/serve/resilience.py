@@ -225,16 +225,24 @@ class DurabilityLedger:
         ``flash.inspect_page``) so auditing never advances the clock or
         perturbs fault-injection counters.  ``exempt`` lists device LBAs
         whose payload an injected retention flip corrupted — that is
-        correct device behavior, not data loss.
+        correct device behavior, not data loss.  An L2P entry that a
+        disturbance flip pointed off the flash array (the same test
+        :meth:`PageMappingFtl.read` applies) is the attack's outcome, not a
+        loss either: those LBAs are counted as ``hammer_redirected``.
         """
         exempt = set(exempt)
+        total_pages = ftl.flash.geometry.total_pages
         intact = 0
         lost = 0
         resurrected = 0
         corrupt_exempt = 0
+        redirected = 0
         for lba in sorted(self.history):
             generations = self.history[lba]
             ppa = ftl.l2p.peek(lba)
+            if ppa is not None and ppa >= total_pages:
+                redirected += 1
+                continue
             current = None if ppa is None else ftl.flash.inspect_page(ppa)
             if lba in self.trimmed:
                 if current is None:
@@ -260,6 +268,7 @@ class DurabilityLedger:
             "lost": lost,
             "trim_resurrected": resurrected,
             "corrupt_exempt": corrupt_exempt,
+            "hammer_redirected": redirected,
         }
 
 

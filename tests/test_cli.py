@@ -404,7 +404,7 @@ class TestServeCommand:
         }
         assert set(res["durability"]) == {
             "acked_writes", "acked_trims", "audited_lbas", "intact",
-            "lost", "trim_resurrected", "corrupt_exempt",
+            "lost", "trim_resurrected", "corrupt_exempt", "hammer_redirected",
         }
         assert res["faults"] is None  # no plan injected
         for tenant in payload["tenants"]:

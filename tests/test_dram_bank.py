@@ -1,10 +1,10 @@
-"""Tests for bank storage and activation bookkeeping."""
+"""Tests for bank storage, epochs and victim bookkeeping."""
 
 import numpy as np
 import pytest
 
 from repro.dram import DramGeometry
-from repro.dram.bank import Bank, CLOSED_PAGE, OPEN_PAGE
+from repro.dram.bank import Bank
 from repro.errors import DramAddressError
 
 GEOMETRY = DramGeometry.small(rows_per_bank=64, row_bytes=1024)
@@ -45,55 +45,20 @@ class TestStorage:
             bank.write(0, 1020, np.zeros(8, dtype=np.uint8))
 
 
-class TestActivations:
-    def test_first_access_activates(self, bank):
-        assert bank.record_activation(7) is True
-        assert bank.activation_count(7) == 1
-
-    def test_open_row_hit_does_not_activate(self, bank):
-        bank.record_activation(7)
-        assert bank.record_activation(7) is False
-        assert bank.activation_count(7) == 1
-
-    def test_alternation_activates_every_time(self, bank):
-        for _ in range(10):
-            bank.record_activation(7)
-            bank.record_activation(9)
-        assert bank.activation_count(7) == 10
-        assert bank.activation_count(9) == 10
-
-    def test_closed_page_always_activates(self, bank):
-        for _ in range(5):
-            bank.record_activation(7, CLOSED_PAGE)
-        assert bank.activation_count(7) == 5
-
-    def test_out_of_range_row_rejected(self, bank):
-        with pytest.raises(DramAddressError):
-            bank.record_activation(64)
-
-    def test_add_activations_bulk(self, bank):
-        bank.add_activations(3, 1000)
-        assert bank.activation_count(3) == 1000
-
-    def test_add_activations_negative_rejected(self, bank):
-        with pytest.raises(DramAddressError):
-            bank.add_activations(3, -1)
-
-
 class TestEpochs:
     def test_roll_clears_counts(self, bank):
-        bank.record_activation(7)
+        bank.acts[7] = 1
         assert bank.roll_epoch(1) is True
-        assert bank.activation_count(7) == 0
+        assert bank.acts == {}
 
     def test_same_epoch_is_noop(self, bank):
         bank.roll_epoch(1)
-        bank.record_activation(7)
+        bank.acts[7] = 1
         assert bank.roll_epoch(1) is False
-        assert bank.activation_count(7) == 1
+        assert bank.acts == {7: 1}
 
     def test_roll_clears_baselines(self, bank):
-        bank.record_activation(7)
+        bank.acts[7] = 1
         bank.refresh_victim(8)
         bank.roll_epoch(1)
         assert bank.victim_side_counts(8) == (0, 0)
@@ -101,20 +66,18 @@ class TestEpochs:
 
 class TestVictimAccounting:
     def test_side_counts_from_neighbours(self, bank):
-        bank.add_activations(7, 10)
-        bank.add_activations(9, 4)
+        bank.acts.update({7: 10, 9: 4})
         assert bank.victim_side_counts(8) == (10, 4)
 
     def test_refresh_resets_baseline(self, bank):
-        bank.add_activations(7, 10)
-        bank.add_activations(9, 4)
+        bank.acts.update({7: 10, 9: 4})
         bank.refresh_victim(8)
         assert bank.victim_side_counts(8) == (0, 0)
-        bank.add_activations(7, 3)
+        bank.acts[7] += 3
         assert bank.victim_side_counts(8) == (3, 0)
 
     def test_edge_rows_have_one_side(self, bank):
-        bank.add_activations(1, 5)
+        bank.acts[1] = 5
         assert bank.victim_side_counts(0) == (0, 5)
 
 

@@ -97,6 +97,34 @@ class TestAccessPath:
             dram.read(b, 4)
         assert dram.metrics.counter("activations").value == 10
 
+    def test_closed_page_always_activates(self):
+        dram = make_module(profile=GRANITE, row_policy=CLOSED_PAGE)
+        for _ in range(5):
+            dram.read(0, 4)  # same row every time
+        assert dram.metrics.counter("activations").value == 5
+        assert dram.metrics.counter("row_buffer_hits").value == 0
+
+
+class TestAccessBatch:
+    def test_bulk_counts_land_in_the_window(self):
+        dram = make_module(profile=GRANITE)
+        dram.access_batch([(0, 3, 1000), (0, 3, 24), (1, 5, 7)])
+        assert dram.banks[0].acts == {3: 1024}
+        assert dram.banks[1].acts == {5: 7}
+        assert dram.metrics.counter("activations").value == 1031
+
+    def test_negative_count_rejected(self):
+        dram = make_module()
+        with pytest.raises(ConfigError):
+            dram.access_batch([(0, 3, -1)])
+
+    def test_out_of_range_row_rejected(self):
+        dram = make_module()
+        with pytest.raises(DramAddressError):
+            dram.access_batch([(0, GEOMETRY.rows_per_bank, 1)])
+        with pytest.raises(DramAddressError):
+            dram.activate_burst([(0, GEOMETRY.rows_per_bank)])
+
 
 class TestExactPathFlips:
     def test_double_sided_hammer_flips_victim(self):

@@ -1,8 +1,19 @@
 """Tests for the TRR and PARA mitigations."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dram import Para, TargetRowRefresh
+from repro.dram import (
+    DramGeometry,
+    DramModule,
+    GenerationProfile,
+    Para,
+    TargetRowRefresh,
+    VulnerabilityModel,
+)
+from repro.sim import SimClock
 
 
 class TestTrrTracking:
@@ -179,3 +190,92 @@ class TestPara:
 
     def test_draw_refresh_count_zero_accesses(self):
         assert Para(seed=1).draw_refresh_count(0) == 0
+
+
+# -- cap-or-evade vs exact replay -------------------------------------------
+
+ROWS = 64
+ROW_BYTES = 256
+
+# Every row vulnerable; the weakest cells flip at ~160 disturbance units.
+FRAGILE = GenerationProfile(
+    name="test-fragile",
+    year=2021,
+    ddr_type="TEST",
+    min_rate_kps=1.0,
+    row_vulnerable_fraction=1.0,
+    mean_weak_cells=4.0,
+    threshold_spread=0.2,
+)
+
+
+def _fresh_module(capacity, threshold, seed):
+    geometry = DramGeometry.small(rows_per_bank=ROWS, row_bytes=ROW_BYTES)
+    vulnerability = VulnerabilityModel(FRAGILE, geometry, seed=seed)
+    trr = TargetRowRefresh(tracker_capacity=capacity, refresh_threshold=threshold)
+    dram = DramModule(geometry, vulnerability, SimClock(), trr=trr)
+    # Bank storage is written directly, so the fill activates nothing.
+    for bank in dram.banks:
+        for row in range(ROWS):
+            bank.write(row, 0, np.full(ROW_BYTES, 0xFF if row % 2 else 0x00, np.uint8))
+    return dram
+
+
+def cap_or_evade_vs_exact(histogram, capacity, threshold, seed):
+    """Flipped cells of one ``(bank, row, count)`` histogram under the
+    default TRR tracker: ``access_batch`` (cap-or-evade) against
+    ``activate_burst`` fed the same histogram in round-robin order, each
+    on a fresh module.  Returns ``(cap_or_evade, exact)`` cell sets."""
+    remaining = [[bank, row, n] for bank, row, n in histogram]
+    order = []
+    while remaining:
+        for entry in remaining:
+            order.append((entry[0], entry[1]))
+            entry[2] -= 1
+        remaining = [entry for entry in remaining if entry[2]]
+
+    def cells(flips):
+        return {(f.bank, f.row, f.byte_offset, f.bit) for f in flips}
+
+    batch = _fresh_module(capacity, threshold, seed)
+    assert not batch.trr.exact_batch_replay  # the cap-or-evade path
+    exact = _fresh_module(capacity, threshold, seed)
+    return (
+        cells(batch.access_batch(histogram)),
+        cells(exact.activate_burst(order)),
+    )
+
+
+@st.composite
+def trr_histograms(draw):
+    banks = draw(st.integers(1, 2))
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(0, banks - 1), st.integers(1, ROWS - 2)),
+            min_size=2,
+            max_size=10,
+            unique=True,
+        )
+    )
+    counts = draw(st.lists(st.integers(1, 400), min_size=len(keys), max_size=len(keys)))
+    return [(bank, row, n) for (bank, row), n in zip(keys, counts)]
+
+
+class TestCapOrEvadeVsExactReplay:
+    """The histogram path models the default tracker (``counter_lru``,
+    per-bank, radius 1) by cap-or-evade.  Exact replay's mid-window
+    refreshes only lower a victim's disturbance below what the
+    approximation assumes, so it may flip fewer cells but never a cell the
+    approximation misses.  The measured disagreement rate is recorded in
+    EXPERIMENTS.md."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        histogram=trr_histograms(),
+        capacity=st.integers(1, 8),
+        threshold=st.integers(8, 128),
+        seed=st.integers(0, 50),
+    )
+    def test_exact_flips_are_a_subset(self, histogram, capacity, threshold, seed):
+        approx, exact = cap_or_evade_vs_exact(histogram, capacity, threshold, seed)
+        assert exact <= approx

@@ -72,8 +72,12 @@ class TestServeSpecs:
             for t, config in zip(report.tenants, scenario.tenants)
         )
 
-    def test_fig2_16tenant_scenario_loads(self):
-        from repro.serve import ServeScenario
+    def test_fig2_16tenant_scenario_runs(self):
+        """The committed Fig. 2 scenario runs as committed: every tenant
+        completes, the attacker flips L2P bits, and the durability audit
+        counts the LBAs those flips redirected off the flash array apart
+        from lost writes."""
+        from repro.serve import ServeScenario, run_scenario
 
         scenario = ServeScenario.load(
             os.path.join(self.SPECS, "serve_fig2_16tenants.json")
@@ -81,6 +85,15 @@ class TestServeSpecs:
         assert len(scenario.tenants) == 16
         kinds = {tenant.kind for tenant in scenario.tenants}
         assert "hammer_attacker" in kinds and len(kinds) == 4
+        report = run_scenario(scenario)
+        assert all(
+            t["commands"] == config.ops
+            for t, config in zip(report.tenants, scenario.tenants)
+        )
+        assert report.flips > 0
+        durability = report.resilience["durability"]
+        assert durability["hammer_redirected"] > 0
+        assert durability["lost"] == 0
 
     def test_noisy_neighbor_sweep_shows_rate_limit_trade_off(self, tmp_path):
         from repro.engine import SweepSpec, run_sweep
