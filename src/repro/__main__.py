@@ -14,6 +14,8 @@ Commands:
 * ``payload``      — compile / explain / run / diff / fuzz declarative
   attack-payload programs (the DSL under :mod:`repro.payload`).
 * ``trace``        — summarize / validate / diff / export a structured trace.
+* ``utrr``         — infer a TRR sampler's configuration from flips alone
+  (U-TRR), optionally demoing the synthesized ``sync_refresh`` bypass.
 * ``table1``       — re-measure Table 1's minimal flip rates.
 * ``info``         — describe the default testbed.
 """
@@ -83,16 +85,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     )
     result = attack.run()
     if testbed.tracer is not None:
-        from repro.sim import merge_snapshots
-
-        testbed.tracer.close(
-            metrics=merge_snapshots(
-                testbed.dram.metrics,
-                testbed.ftl.metrics,
-                testbed.controller.metrics,
-                testbed.ftl.flash.metrics,
-            )
-        )
+        testbed.tracer.close(metrics=testbed.controller.stack_metrics())
         print("trace:             %d event(s) (%d dropped) -> %s"
               % (testbed.tracer.emitted, testbed.tracer.dropped, args.trace))
     print("cycles run:        %d" % len(result.cycles))
@@ -390,8 +383,7 @@ loop 256 {
 
 def cmd_utrr(args: argparse.Namespace) -> int:
     """Run the U-TRR inference pipeline against a configured sampler."""
-    from repro.trace import Tracer
-    from repro.utrr import UtrrPipeline, build_utrr_target
+    from repro.utrr import build_utrr_target, run_utrr
 
     trr_config = {
         "tracker_capacity": args.capacity,
@@ -400,20 +392,13 @@ def cmd_utrr(args: argparse.Namespace) -> int:
         "per_bank": args.per_bank,
         "seed": args.seed,
     }
-    tracer = None
-    dram = build_utrr_target(trr_config, seed=args.seed)
-    if args.trace:
-        tracer = Tracer(dram.clock, path=args.trace)
-        dram.tracer = tracer
-    pipeline = UtrrPipeline(
-        dram,
-        tracer=tracer,
+    report = run_utrr(
+        trr_config,
+        seed=args.seed,
         max_capacity=args.max_capacity,
         cycles=args.cycles,
+        trace_path=args.trace,
     )
-    report = pipeline.infer()
-    if tracer is not None:
-        tracer.close(metrics=dram.metrics.snapshot())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
@@ -597,50 +582,19 @@ def cmd_payload_run(args: argparse.Namespace) -> int:
     fixed seed: two runs print identical output and identical traces.
     """
     from repro.errors import ConfigError
-    from repro.payload import (
-        PayloadError,
-        compile_program,
-        execute_payload,
-        recon_bindings,
-        resolve_program,
-    )
-    from repro.sim import merge_snapshots
+    from repro.payload import PayloadError, run_payload
 
     try:
         program = _payload_source(args)
         testbed = build_cloud_testbed(seed=args.seed, trace_path=args.trace)
-        bindings = {}
-        if program.placeholders() and program.target == "stack":
-            bindings = recon_bindings(
-                testbed.controller,
-                testbed.attacker_ns.nsid,
-                victim_nsid=testbed.victim_ns.nsid,
-                limit=max(args.pairs, 8),
-            )
-        bindings.update(_parse_bindings(args.bind))
-        if bindings or program.placeholders():
-            program = resolve_program(program, bindings)
-        compiled = compile_program(program)
-        if compiled.target == "dram":
-            result = execute_payload(
-                compiled, dram=testbed.dram, trace_payload=True
-            )
-        else:
-            result = execute_payload(
-                compiled, vm=testbed.attacker_vm, trace_payload=True
-            )
+        _compiled, result = run_payload(
+            program, testbed, _parse_bindings(args.bind), args.pairs
+        )
     except (PayloadError, ConfigError) as error:
         print("payload run: %s" % error)
         return 2
     if testbed.tracer is not None:
-        testbed.tracer.close(
-            metrics=merge_snapshots(
-                testbed.dram.metrics,
-                testbed.ftl.metrics,
-                testbed.controller.metrics,
-                testbed.ftl.flash.metrics,
-            )
-        )
+        testbed.tracer.close(metrics=testbed.controller.stack_metrics())
     if args.json:
         print(
             json.dumps(
@@ -703,7 +657,6 @@ def cmd_payload_diff(args: argparse.Namespace) -> int:
     from repro.attack.profile import DeviceProfile
     from repro.attack.recon import find_cross_partition_triples
     from repro.payload import compile_program, execute_payload, program_from_plan
-    from repro.sim import merge_snapshots
 
     def fresh(trace_path):
         testbed = build_cloud_testbed(seed=args.seed, trace_path=trace_path)
@@ -732,14 +685,7 @@ def cmd_payload_diff(args: argparse.Namespace) -> int:
         return one_location_plan(triples[0].aggressor_pair[0], ns)
 
     def finish(testbed):
-        testbed.tracer.close(
-            metrics=merge_snapshots(
-                testbed.dram.metrics,
-                testbed.ftl.metrics,
-                testbed.controller.metrics,
-                testbed.ftl.flash.metrics,
-            )
-        )
+        testbed.tracer.close(metrics=testbed.controller.stack_metrics())
 
     failures = 0
     for shape in ("double_sided", "single_sided", "many_sided", "one_location"):

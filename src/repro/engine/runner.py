@@ -19,11 +19,17 @@ Built-ins:
   injection and power cycles (:func:`repro.testkit.fuzzer.run_campaign`
   with a :class:`repro.faults.FaultPlan` assembled from ``faults`` /
   ``faults.*`` parameters);
-* ``serve`` — one multi-tenant serving scenario
-  (:func:`repro.serve.run_scenario`) with sweepable per-tenant QoS
-  overrides (``max_iops`` / ``attacker_max_iops`` / ``benign_max_iops``);
-* ``sleep`` / ``flaky`` — inert kinds for soak-testing the scheduler's
-  timeout and retry paths (used by the test suite and benchmarks).
+* ``serve`` / ``serve_chaos`` — one multi-tenant serving scenario
+  (:func:`repro.serve.run_scenario`) with sweepable per-tenant QoS,
+  resilience-policy and ``faults.*`` overrides; ``serve`` records the §5
+  noisy-neighbour trade-off, ``serve_chaos`` the cost of the faults;
+* ``payload`` — one payload-DSL program on a seeded cloud testbed
+  (:func:`repro.payload.run_payload`, the ``payload run`` command's path);
+* ``utrr`` — one U-TRR inference run (:func:`repro.utrr.run_utrr`, the
+  ``utrr`` command's path).
+
+Test-only kinds (the scheduler soak kinds ``sleep`` / ``flaky``) are
+registered by the test suite through :func:`register_trial_kind`.
 
 Heavy imports happen inside the trial functions so that importing the
 engine never drags in the whole attack stack, and so the registry stays
@@ -34,7 +40,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.spec import TrialSpec
@@ -59,6 +64,13 @@ def set_trace_dir(path: Optional[str]) -> None:
     """
     global _TRACE_DIR
     _TRACE_DIR = path
+
+
+def _trace_path(trial: TrialSpec, suffix: str = "") -> Optional[str]:
+    """Where a trace-capable trial writes its trace (None = tracing off)."""
+    if _TRACE_DIR is None:
+        return None
+    return os.path.join(_TRACE_DIR, trial.trial_id + suffix)
 
 
 def register_trial_kind(name: str, fn: TrialFn, replace: bool = False) -> None:
@@ -214,28 +226,36 @@ def _trial_mitigation(trial: TrialSpec) -> Dict[str, Any]:
 # -- built-in: fault_campaign -------------------------------------------
 
 
+def _fault_plan(trial: TrialSpec, faults, params: Dict[str, Any]):
+    """The trial's :class:`repro.faults.FaultPlan`, or None without faults.
+
+    A ``faults`` dict merged with the dotted ``faults.*`` axes popped from
+    ``params`` (e.g. a grid over ``faults.erase_fail_rate``), reseeded
+    through the trial's spawn key so every repeat runs an independent but
+    reproducible fault universe.
+    """
+    from repro.faults import FaultPlan
+
+    faults = dict(faults or {})
+    for key in [k for k in params if k.startswith("faults.")]:
+        faults[key.split(".", 1)[1]] = params.pop(key)
+    if not faults:
+        return None
+    faults.setdefault("seed", 0)
+    return FaultPlan.from_dict(faults).spawned(trial.root_seed, *trial.spawn_key)
+
+
 def _trial_fault_campaign(trial: TrialSpec) -> Dict[str, Any]:
     """One differential fuzz campaign under fault injection / crashes.
 
-    A ``faults`` base key (a :class:`repro.faults.FaultPlan` dict) and/or
-    dotted ``faults.*`` axes (e.g. a grid over ``faults.erase_fail_rate``)
-    assemble the plan; it is reseeded through the trial's spawn key so
-    every repeat runs an independent but reproducible fault universe.
-    ``crash_rate`` mixes power cycles into the generated trace.
+    A ``faults`` base key and/or dotted ``faults.*`` axes assemble the
+    fault plan (see :func:`_fault_plan`).  ``crash_rate`` mixes power
+    cycles into the generated trace.
     """
-    from repro.faults import FaultPlan
     from repro.testkit.fuzzer import run_campaign
 
     params = dict(trial.params)
-    faults = dict(params.pop("faults", {}))
-    for key in [k for k in params if k.startswith("faults.")]:
-        faults[key.split(".", 1)[1]] = params.pop(key)
-    plan = None
-    if faults:
-        faults.setdefault("seed", 0)
-        plan = FaultPlan.from_dict(faults).spawned(
-            trial.root_seed, *trial.spawn_key
-        )
+    plan = _fault_plan(trial, params.pop("faults", None), params)
     report = run_campaign(
         seed=trial.seed,
         num_ops=int(params.pop("num_ops", 300)),
@@ -249,10 +269,7 @@ def _trial_fault_campaign(trial: TrialSpec) -> Dict[str, Any]:
         write_buffer_pages=int(params.pop("write_buffer_pages", 0)),
         spare_blocks=int(params.pop("spare_blocks", 0)),
         fault_plan=plan,
-        trace_path_prefix=(
-            None if _TRACE_DIR is None
-            else os.path.join(_TRACE_DIR, trial.trial_id)
-        ),
+        trace_path_prefix=_trace_path(trial),
     )
     return {
         "ok": report.ok,
@@ -262,33 +279,39 @@ def _trial_fault_campaign(trial: TrialSpec) -> Dict[str, Any]:
     }
 
 
-# -- built-in: serve ----------------------------------------------------
+# -- built-in: serve / serve_chaos --------------------------------------
 
 
-def _trial_serve(trial: TrialSpec) -> Dict[str, Any]:
-    """One multi-tenant serving scenario (see :mod:`repro.serve`).
+def _run_serve_trial(trial: TrialSpec):
+    """The run both serving kinds share; returns the report and its
+    benign (non-``hammer_attacker``) tenant rows.
 
-    The ``scenario`` base key carries a full :class:`ServeScenario` dict;
-    sweep axes then override QoS knobs across its tenants:
+    The ``scenario`` base key carries a full :class:`ServeScenario` dict
+    (its ``faults`` section included).  Sweep axes then override it:
 
     * ``max_iops`` — cap for *every* tenant (``null`` = unlimited);
     * ``attacker_max_iops`` / ``benign_max_iops`` — cap only tenants
       whose workload kind is / is not ``hammer_attacker`` (the §5
       noisy-neighbor grid sweeps ``attacker_max_iops``);
+    * resilience-policy axes (``retry_attempts``, ``retry_backoff``,
+      ``deadline``, ``hedge``, ``hedge_delay``, ``on_read_only``,
+      ``latency_target``, ``error_budget``) apply to *every* tenant;
+    * dotted ``faults.*`` axes override fault-plan fields; the plan is
+      reseeded through the trial's spawn key (see :func:`_fault_plan`);
     * ``quantum`` — the arbiter's round quantum.
-
-    The flat result fields are the sweep-aggregable answer: did the
-    attacker's activation rate stay below the hammer threshold, and what
-    p99 did the benign tenants pay.
     """
     from repro.serve import ServeScenario, run_scenario
 
     params = dict(trial.params)
     raw = params.pop("scenario", None)
     if raw is None:
-        raise ConfigError("serve trials need a 'scenario' base key")
+        raise ConfigError("%s trials need a 'scenario' base key" % trial.kind)
     raw = json.loads(json.dumps(raw))  # private copy; trials share params
     seed = int(params.pop("seed", trial.seed))
+    plan = _fault_plan(trial, raw.pop("faults", None), params)
+    if plan is not None:
+        raw["faults"] = plan.to_dict()
+    tenants = raw.get("tenants", [])
     for axis, applies in (
         ("max_iops", lambda tenant: True),
         ("attacker_max_iops", lambda tenant: tenant.get("kind") == "hammer_attacker"),
@@ -296,24 +319,41 @@ def _trial_serve(trial: TrialSpec) -> Dict[str, Any]:
     ):
         if axis in params:
             cap = params.pop(axis)
-            for tenant in raw.get("tenants", []):
-                if applies(tenant):
-                    tenant["max_iops"] = None if cap is None else float(cap)
+            for tenant in filter(applies, tenants):
+                tenant["max_iops"] = None if cap is None else float(cap)
+    for axis in (
+        "retry_attempts", "retry_backoff", "deadline", "hedge",
+        "hedge_delay", "on_read_only", "latency_target", "error_budget",
+    ):
+        if axis in params:
+            value = params.pop(axis)
+            for tenant in tenants:
+                tenant[axis] = value
     if "quantum" in params:
         raw["quantum"] = int(params.pop("quantum"))
     if params:
-        raise ConfigError("unknown serve trial params: %s" % sorted(params))
-    scenario = ServeScenario.from_dict(raw)
-    report = run_scenario(scenario, seed=seed)
+        raise ConfigError(
+            "unknown %s trial params: %s" % (trial.kind, sorted(params))
+        )
+    report = run_scenario(ServeScenario.from_dict(raw), seed=seed)
+    return report, [t for t in report.tenants if t["kind"] != "hammer_attacker"]
 
-    benign = [t for t in report.tenants if t["kind"] != "hammer_attacker"]
+
+def _trial_serve(trial: TrialSpec) -> Dict[str, Any]:
+    """One multi-tenant serving scenario (see :mod:`repro.serve`).
+
+    The flat result fields are the sweep-aggregable answer: did the
+    attacker's activation rate stay below the hammer threshold, and what
+    p99 did the benign tenants pay.
+    """
+    report, benign = _run_serve_trial(trial)
     benign_p99 = [t["p99"] for t in benign]
     result: Dict[str, Any] = {
         "duration": report.duration,
         "flips": report.flips,
         "commands": sum(t["commands"] for t in report.tenants),
         "benign_iops_total": sum(t["iops"] for t in benign),
-        "benign_p99_max": max(benign_p99) if benign_p99 else 0.0,
+        "benign_p99_max": max(benign_p99, default=0.0),
         "benign_p99_mean": (
             sum(benign_p99) / len(benign_p99) if benign_p99 else 0.0
         ),
@@ -326,67 +366,15 @@ def _trial_serve(trial: TrialSpec) -> Dict[str, Any]:
     return result
 
 
-# -- built-in: serve_chaos ----------------------------------------------
-
-
 def _trial_serve_chaos(trial: TrialSpec) -> Dict[str, Any]:
     """One chaos-serving scenario: faults and resilience policy as axes.
-
-    The ``scenario`` base key carries a full :class:`ServeScenario` dict
-    (its ``faults`` section included).  Sweep axes then walk the chaos
-    surface:
-
-    * dotted ``faults.*`` axes override fault-plan fields (e.g. a grid
-      over ``faults.read_error_rate``); the assembled plan is reseeded
-      through the trial's spawn key, so every repeat runs an independent
-      but reproducible fault universe;
-    * resilience-policy axes (``retry_attempts``, ``retry_backoff``,
-      ``deadline``, ``hedge``, ``hedge_delay``, ``on_read_only``,
-      ``latency_target``, ``error_budget``) apply to *every* tenant;
-    * ``quantum`` — the arbiter's round quantum.
 
     The flat result fields answer the robustness question: what did the
     faults cost (retries, timeouts, availability gap, benign p99), did
     hedging buy the tail back, and — non-negotiably — did any
     acknowledged write get lost.
     """
-    from repro.faults import FaultPlan
-    from repro.serve import ServeScenario, run_scenario
-
-    params = dict(trial.params)
-    raw = params.pop("scenario", None)
-    if raw is None:
-        raise ConfigError("serve_chaos trials need a 'scenario' base key")
-    raw = json.loads(json.dumps(raw))  # private copy; trials share params
-    seed = int(params.pop("seed", trial.seed))
-    faults = dict(raw.pop("faults", None) or {})
-    for key in [k for k in params if k.startswith("faults.")]:
-        faults[key.split(".", 1)[1]] = params.pop(key)
-    if faults:
-        faults.setdefault("seed", 0)
-        plan = FaultPlan.from_dict(faults).spawned(
-            trial.root_seed, *trial.spawn_key
-        )
-        raw["faults"] = plan.to_dict()
-    for axis in (
-        "retry_attempts", "retry_backoff", "deadline", "hedge",
-        "hedge_delay", "on_read_only", "latency_target", "error_budget",
-    ):
-        if axis in params:
-            value = params.pop(axis)
-            for tenant in raw.get("tenants", []):
-                tenant[axis] = value
-    if "quantum" in params:
-        raw["quantum"] = int(params.pop("quantum"))
-    if params:
-        raise ConfigError(
-            "unknown serve_chaos trial params: %s" % sorted(params)
-        )
-    scenario = ServeScenario.from_dict(raw)
-    report = run_scenario(scenario, seed=seed)
-
-    benign = [t for t in report.tenants if t["kind"] != "hammer_attacker"]
-    benign_p99 = [t["p99"] for t in benign]
+    report, benign = _run_serve_trial(trial)
     resilience = report.resilience
     budgets = [t["error_budget_remaining"] for t in report.tenants]
     return {
@@ -402,8 +390,8 @@ def _trial_serve_chaos(trial: TrialSpec) -> Dict[str, Any]:
         "availability_gap_s": resilience["availability_gap_s"],
         "lost_acked_writes": resilience["durability"]["lost"],
         "read_only": resilience["read_only"],
-        "benign_p99_max": max(benign_p99) if benign_p99 else 0.0,
-        "error_budget_min": min(budgets) if budgets else 1.0,
+        "benign_p99_max": max((t["p99"] for t in benign), default=0.0),
+        "error_budget_min": min(budgets, default=1.0),
         "tenants": report.tenants,
     }
 
@@ -423,14 +411,7 @@ def _trial_payload(trial: TrialSpec) -> Dict[str, Any]:
     resolved by live L2P recon on the testbed, exactly as an attacker
     would.
     """
-    from repro.payload import (
-        Program,
-        build_template,
-        compile_program,
-        execute_payload,
-        recon_bindings,
-        resolve_program,
-    )
+    from repro.payload import Program, build_template, run_payload
     from repro.scenarios import build_cloud_testbed
 
     params = dict(trial.params)
@@ -450,17 +431,8 @@ def _trial_payload(trial: TrialSpec) -> Dict[str, Any]:
         program = Program.from_dict(json.loads(json.dumps(raw)))
     else:
         program = build_template(template, pairs=pairs, repeats=repeats)
-
-    testbed = build_cloud_testbed(seed=seed)
-    if program.placeholders() - set(bindings):
-        recon = recon_bindings(
-            testbed.controller, 2, victim_nsid=1, limit=max(pairs, 8)
-        )
-        recon.update(bindings)
-        bindings = recon
-    compiled = compile_program(resolve_program(program, bindings))
-    result = execute_payload(
-        compiled, vm=testbed.attacker_vm, dram=testbed.dram
+    compiled, result = run_payload(
+        program, build_cloud_testbed(seed=seed), bindings, pairs
     )
     return {
         "program": compiled.name,
@@ -488,7 +460,7 @@ def _trial_utrr(trial: TrialSpec) -> Dict[str, Any]:
     correctness gate: did black-box inference get the configured capacity
     and policy back?
     """
-    from repro.utrr import UtrrPipeline, build_utrr_target
+    from repro.utrr import run_utrr
 
     params = dict(trial.params)
     seed = int(params.pop("seed", trial.seed))
@@ -504,22 +476,13 @@ def _trial_utrr(trial: TrialSpec) -> Dict[str, Any]:
     cycles = int(params.pop("cycles", 512))
     if params:
         raise ConfigError("unknown utrr trial params: %s" % sorted(params))
-
-    tracer = None
-    dram = build_utrr_target(trr_config, seed=seed)
-    if _TRACE_DIR is not None:
-        from repro.trace import Tracer
-
-        tracer = Tracer(
-            dram.clock,
-            path=os.path.join(_TRACE_DIR, "%s.trace.jsonl" % trial.trial_id),
-        )
-        dram.tracer = tracer
-    report = UtrrPipeline(
-        dram, tracer=tracer, max_capacity=max_capacity, cycles=cycles
-    ).infer()
-    if tracer is not None:
-        tracer.close(metrics=dram.metrics.snapshot())
+    report = run_utrr(
+        trr_config,
+        seed=seed,
+        max_capacity=max_capacity,
+        cycles=cycles,
+        trace_path=_trace_path(trial, ".trace.jsonl"),
+    )
     return {
         "recovered": report.matches(trr_config),
         "inferred_capacity": report.tracker_capacity,
@@ -533,38 +496,6 @@ def _trial_utrr(trial: TrialSpec) -> Dict[str, Any]:
     }
 
 
-# -- built-in soak kinds (scheduler testing) ----------------------------
-
-
-def _trial_sleep(trial: TrialSpec) -> Dict[str, Any]:
-    """Sleep for ``seconds`` — exercises the pool's per-trial timeout."""
-    seconds = float(trial.params.get("seconds", 0.01))
-    time.sleep(seconds)
-    return {"slept": seconds}
-
-
-def _trial_flaky(trial: TrialSpec) -> Dict[str, Any]:
-    """Fail the first ``fail_times`` attempts — exercises retry/backoff.
-
-    Attempt state lives in the file at ``path`` (one line per attempt), so
-    flakiness survives worker restarts and process boundaries.
-    """
-    path = trial.params["path"]
-    fail_times = int(trial.params.get("fail_times", 1))
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            attempts_so_far = len(handle.readlines())
-    except FileNotFoundError:
-        attempts_so_far = 0
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write("attempt %d\n" % (attempts_so_far + 1))
-    if attempts_so_far < fail_times:
-        raise RuntimeError(
-            "flaky trial failing on purpose (attempt %d)" % (attempts_so_far + 1)
-        )
-    return {"attempts_seen": attempts_so_far + 1}
-
-
 register_trial_kind("monte_carlo", _trial_monte_carlo)
 register_trial_kind("probability_grid", _trial_probability_grid)
 register_trial_kind("mitigation", _trial_mitigation)
@@ -573,5 +504,3 @@ register_trial_kind("serve_chaos", _trial_serve_chaos)
 register_trial_kind("payload", _trial_payload)
 register_trial_kind("utrr", _trial_utrr)
 register_trial_kind("fault_campaign", _trial_fault_campaign)
-register_trial_kind("sleep", _trial_sleep)
-register_trial_kind("flaky", _trial_flaky)

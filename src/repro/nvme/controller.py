@@ -52,7 +52,7 @@ from repro.nvme.namespace import Namespace
 from repro.nvme.queue import QueuePair
 from repro.nvme.ratelimit import IopsRateLimiter
 from repro.sim.clock import SimClock
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import MetricRegistry, merge_snapshots
 from repro.units import us
 
 
@@ -165,6 +165,16 @@ class NvmeController:
                 bool,
             ],
         ] = {}
+
+    def stack_metrics(self, *first: MetricRegistry) -> Dict[str, float]:
+        """One flat snapshot of the whole device stack — DRAM, FTL, NVMe,
+        flash, in that order, after any ``first`` registries — the
+        metrics footer every stack trace closes with."""
+        ftl = self.ftl
+        return merge_snapshots(
+            *first, ftl.memory.dram.metrics, ftl.metrics, self.metrics,
+            ftl.flash.metrics,
+        )
 
     # ------------------------------------------------------------------
     # namespace management

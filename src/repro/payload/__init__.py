@@ -34,6 +34,7 @@ from repro.payload.executor import (
     ExecutionError,
     ExecutionResult,
     execute_payload,
+    run_payload,
 )
 from repro.payload.parser import ParseError, format_program, parse_program
 from repro.payload.program import (
@@ -96,5 +97,6 @@ __all__ = [
     "program_from_plan",
     "recon_bindings",
     "resolve_program",
+    "run_payload",
     "single_sided_program",
 ]

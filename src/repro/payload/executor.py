@@ -29,11 +29,12 @@ differential harness ``cmp`` compiled-vs-hand-coded traces byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.dram.module import FlipEvent
-from repro.payload.compiler import CompiledPayload, Instr, OpCode
-from repro.payload.program import PayloadError
+from repro.payload.compiler import CompiledPayload, Instr, OpCode, compile_program
+from repro.payload.program import PayloadError, Program
+from repro.payload.resolver import recon_bindings, resolve_program
 
 #: Interpreted-step ceiling: beyond this the program is structured wrong
 #: (its hot loop failed to coalesce) and scalar execution would take
@@ -138,6 +139,39 @@ def execute_payload(
             dur=result.duration,
         )
     return result
+
+
+def run_payload(
+    program: Program,
+    testbed,
+    bindings: Mapping[str, int],
+    pairs: int,
+) -> Tuple[CompiledPayload, ExecutionResult]:
+    """Resolve, compile and execute ``program`` on a cloud testbed.
+
+    The single run path behind both ``payload run`` and the ``payload``
+    sweep trial kind.  A ``stack`` program with placeholders that
+    ``bindings`` does not cover first resolves them by live L2P recon
+    across the testbed's attacker/victim partition boundary (``pairs``
+    sizes the recon table); explicit ``bindings`` win over recon.  The
+    compiled program runs on the attacker VM (``stack``) or straight on
+    the testbed's DRAM module (``dram``).
+    """
+    table: Dict[str, int] = dict(bindings)
+    if program.target == "stack" and program.placeholders() - set(table):
+        table = recon_bindings(
+            testbed.controller,
+            testbed.attacker_ns.nsid,
+            victim_nsid=testbed.victim_ns.nsid,
+            limit=max(pairs, 8),
+        )
+        table.update(bindings)
+    compiled = compile_program(resolve_program(program, table))
+    if compiled.target == "dram":
+        result = execute_payload(compiled, dram=testbed.dram)
+    else:
+        result = execute_payload(compiled, vm=testbed.attacker_vm)
+    return compiled, result
 
 
 class _Runner:

@@ -205,16 +205,7 @@ def _close_trace(oracle: DifferentialOracle) -> None:
     tracer = getattr(oracle.controller, "tracer", None)
     if tracer is None:
         return
-    from repro.sim import merge_snapshots
-
-    tracer.close(
-        metrics=merge_snapshots(
-            oracle.dram.metrics,
-            oracle.ftl.metrics,
-            oracle.controller.metrics,
-            oracle.ftl.flash.metrics,
-        )
-    )
+    tracer.close(metrics=oracle.controller.stack_metrics())
 
 
 def _cross_mode_compare(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.sim import SimClock, merge_snapshots
+from repro.sim import SimClock
 from repro.trace.tracer import Tracer
 
 #: Seed of the committed fixture.  Changing it (or anything the scenario
@@ -85,11 +85,7 @@ def run_golden_scenario(tracer_path=None, max_events: int = 200_000) -> Tracer:
     # path, emitting dram.refresh.
     controller.read(GOLDEN_NSID, 1)
 
-    tracer.close(
-        metrics=merge_snapshots(
-            dram.metrics, ftl.metrics, controller.metrics, ftl.flash.metrics
-        )
-    )
+    tracer.close(metrics=controller.stack_metrics())
     return tracer
 
 
@@ -160,11 +156,7 @@ def run_payload_golden_scenario(tracer_path=None, max_events: int = 200_000):
     execute_payload(compiled, vm=vm, trace_payload=True)
 
     controller.read(GOLDEN_NSID, 1)
-    tracer.close(
-        metrics=merge_snapshots(
-            dram.metrics, ftl.metrics, controller.metrics, ftl.flash.metrics
-        )
-    )
+    tracer.close(metrics=controller.stack_metrics())
     return tracer
 
 
@@ -201,7 +193,7 @@ def run_utrr_golden_scenario(tracer_path=None, max_events: int = 200_000):
         UTRR_GOLDEN_TRR, seed=GOLDEN_SEED, clock=clock, tracer=tracer
     )
     report = UtrrPipeline(dram, tracer=tracer).infer()
-    tracer.close(metrics=merge_snapshots(dram.metrics))
+    tracer.close(metrics=dram.metrics.snapshot())
     return tracer, report
 
 

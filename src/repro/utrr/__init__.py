@@ -5,7 +5,13 @@ See :mod:`repro.utrr.pipeline` for the probe battery and
 the stack (payload resolver, sweep engine, CLI) consumes.
 """
 
-from repro.utrr.pipeline import TARGET_PROFILE, UtrrError, UtrrPipeline, build_utrr_target
+from repro.utrr.pipeline import (
+    TARGET_PROFILE,
+    UtrrError,
+    UtrrPipeline,
+    build_utrr_target,
+    run_utrr,
+)
 from repro.utrr.report import POLICY_NONE, POLICY_UNKNOWN, InferenceReport
 
 __all__ = [
@@ -16,4 +22,5 @@ __all__ = [
     "UtrrError",
     "UtrrPipeline",
     "build_utrr_target",
+    "run_utrr",
 ]

@@ -360,3 +360,32 @@ def build_utrr_target(
         trr=trr_from_config(config),
         tracer=tracer,
     )
+
+
+def run_utrr(
+    trr_config: Dict[str, Any],
+    *,
+    seed: int,
+    max_capacity: int,
+    cycles: int,
+    trace_path: Optional[str],
+) -> InferenceReport:
+    """One inference run against :func:`build_utrr_target`.
+
+    The single run path behind both the ``utrr`` CLI command and the
+    ``utrr`` sweep trial kind.  With ``trace_path`` the run streams its
+    ``utrr.*``/``dram.*`` events there, closed with the module's metrics.
+    """
+    tracer = None
+    dram = build_utrr_target(trr_config, seed=seed)
+    if trace_path is not None:
+        from repro.trace import Tracer
+
+        tracer = Tracer(dram.clock, path=trace_path)
+        dram.tracer = tracer
+    report = UtrrPipeline(
+        dram, tracer=tracer, max_capacity=max_capacity, cycles=cycles
+    ).infer()
+    if tracer is not None:
+        tracer.close(metrics=dram.metrics.snapshot())
+    return report

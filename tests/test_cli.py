@@ -628,3 +628,78 @@ class TestUtrrCommand:
         )
         with open(regen, "rb") as fresh, open(fixture, "rb") as pinned:
             assert fresh.read() == pinned.read()
+
+
+class TestTrialKindMatchesCommand:
+    """A sweep trial and the CLI command run one experiment through the
+    same function, so on the same config they report the same fields."""
+
+    @staticmethod
+    def run_trial(kind, params, trace_dir=None):
+        from repro.engine import execute_trial
+        from repro.engine.runner import set_trace_dir
+        from repro.engine.spec import TrialSpec
+
+        trial = TrialSpec(
+            trial_id="t", kind=kind, params=params, point={}, point_index=0,
+            repeat=0, root_seed=1, spawn_key=(0,), seed=999,
+        )
+        set_trace_dir(trace_dir)
+        try:
+            return execute_trial(trial)
+        finally:
+            set_trace_dir(None)
+
+    def test_utrr(self, tmp_path, capsys):
+        result = self.run_trial(
+            "utrr",
+            {"tracker_capacity": 4, "refresh_threshold": 24,
+             "sampling_policy": "counter_lru", "per_bank": True, "seed": 7},
+            trace_dir=str(tmp_path),
+        )
+        cli_trace = tmp_path / "cli.jsonl"
+        assert main(
+            ["utrr", "--seed", "7", "--capacity", "4", "--threshold", "24",
+             "--policy", "counter_lru", "--trace", str(cli_trace), "--json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert result["recovered"]
+        assert result["inferred_capacity"] == report["tracker_capacity"]
+        assert result["inferred_policy"] == report["sampling_policy"]
+        assert result["inferred_per_bank"] == report["per_bank"]
+        for field in ("probes", "activations", "flips_observed"):
+            assert result[field] == report[field]
+        assert (tmp_path / "t.trace.jsonl").read_bytes() == \
+            cli_trace.read_bytes()
+
+    def assert_payload_matches(self, params, argv, capsys):
+        result = self.run_trial("payload", dict(params, seed=13))
+        assert main(["--seed", "13", "payload", "run"] + argv + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for field in ("program", "target", "reads", "acts", "bursts",
+                      "duration"):
+            assert result[field] == report[field]
+        assert result["flips"] == report["flip_count"]
+
+    @pytest.mark.parametrize("argv,params", [
+        (["--template", "double_sided"], {"template": "double_sided"}),
+        (["--template", "many_sided", "--pairs", "3", "--repeats", "5000"],
+         {"template": "many_sided", "pairs": 3, "repeats": 5000}),
+        (["--template", "double_sided", "--bind", "agg_left=5",
+          "--bind", "agg_right=7"],
+         {"template": "double_sided",
+          "bindings": {"agg_left": 5, "agg_right": 7}}),
+    ])
+    def test_payload_template(self, capsys, argv, params):
+        self.assert_payload_matches(params, argv, capsys)
+
+    def test_payload_dram_program(self, tmp_path, capsys):
+        from repro.payload import parse_program
+
+        source = "target dram\nloop 2000 {\n    act 0 4\n    act 0 6\n}\n"
+        path = tmp_path / "dram.payload"
+        path.write_text(source)
+        program = parse_program(source, default_name="dram")
+        self.assert_payload_matches(
+            {"program": program.to_dict()}, [str(path)], capsys
+        )

@@ -183,3 +183,36 @@ class TestPayloadExamples:
         assert by_point[("double_sided", 120000)]["flips"] > 0
         for result in by_point.values():
             assert result["bursts"] == 1
+
+
+class TestCommittedSweepSpecs:
+    """The committed U-TRR, chaos-serving and fault grids run as committed
+    (no shrinking) and every cell passes its own correctness gate."""
+
+    SPECS = os.path.join(EXAMPLES_DIR, "specs")
+
+    def run_spec(self, name, tmp_path):
+        from repro.engine import SweepSpec, run_sweep
+
+        with open(os.path.join(self.SPECS, name)) as handle:
+            spec = SweepSpec.from_json(handle.read())
+        report = run_sweep(spec, store_path=str(tmp_path / "out.jsonl"))
+        assert report.records
+        assert all(r["status"] == "ok" for r in report.records)
+        return [r["result"] for r in report.records]
+
+    def test_utrr_grid_recovers_every_cell(self, tmp_path):
+        results = self.run_spec("utrr_grid.json", tmp_path)
+        assert len(results) == 9
+        assert all(result["recovered"] for result in results)
+
+    def test_serve_chaos_grid_loses_no_acked_write(self, tmp_path):
+        results = self.run_spec("serve_chaos_grid.json", tmp_path)
+        assert len(results) == 6
+        assert all(result["lost_acked_writes"] == 0 for result in results)
+
+    def test_fault_grid_shows_no_divergence(self, tmp_path):
+        results = self.run_spec("fault_grid.json", tmp_path)
+        assert len(results) == 8
+        assert all(result["ok"] for result in results)
+        assert all(result["divergences"] == 0 for result in results)
