@@ -16,6 +16,8 @@ detection.
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -132,18 +134,28 @@ class SecdedCodec:
 
     def encode_words(self, words: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`encode` over a uint64 array (returns uint8)."""
-        words = words.astype(np.uint64, copy=False)
-        check = np.zeros(words.shape, dtype=np.uint64)
-        for j, mask in enumerate(_CHECK_MASKS):
-            masked = words & np.uint64(mask)
-            check |= _parity_fold(masked) << np.uint64(j)
-        overall = _parity_fold(words) ^ _parity_fold(check)
-        return (check | (overall << np.uint64(7))).astype(np.uint8)
+        flat = np.ascontiguousarray(words, dtype=np.uint64).reshape(-1)
+        index = flat.view(np.uint8).reshape(-1, 8) + _BYTE_BASE
+        return np.bitwise_xor.reduce(_word_table()[index], axis=1).reshape(np.shape(words))
 
 
-def _parity_fold(values: np.ndarray) -> np.ndarray:
-    """Vectorized 64-bit parity."""
-    values = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        values ^= values >> np.uint64(shift)
-    return values & np.uint64(1)
+#: Word-table row of each byte of a word as it lies in memory.
+_BYTE_BASE = np.arange(8, dtype=np.intp) * 256
+
+
+@functools.lru_cache(maxsize=None)
+def _word_table() -> np.ndarray:
+    """Check-byte contribution of byte ``v`` at memory offset ``i`` of a
+    word, flattened to ``i * 256 + v`` and read-only.
+
+    The check byte is GF(2)-linear in the data word, so it is the XOR of
+    the codes of the word's 8 bytes, each encoded alone in its place.
+    """
+    encode = SecdedCodec().encode
+    shifts = range(0, 64, 8) if sys.byteorder == "little" else range(56, -8, -8)
+    table = np.array(
+        [encode(value << shift) for shift in shifts for value in range(256)],
+        dtype=np.uint8,
+    )
+    table.setflags(write=False)
+    return table

@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dram.bank import Bank, CLOSED_PAGE, OPEN_PAGE
-from repro.dram.ecc import CLEAN, SecdedCodec
+from repro.dram.ecc import SecdedCodec
 from repro.dram.geometry import DramGeometry
 from repro.dram.mapping import AddressMapping, SequentialMapping
 from repro.dram.para import Para
@@ -322,7 +322,12 @@ class DramModule:
             consumed += chunk
 
     def _read_ecc(self, bank: Bank, row: int, column: int, length: int) -> bytes:
-        """Word-granular verified read; corrects single-bit flips."""
+        """Word-granular verified read; corrects single-bit flips.
+
+        Only words whose stored check byte differs from their encoding
+        are decoded (the others decode clean), in word order, so the first
+        uncorrectable word raises after every earlier correction is
+        counted."""
         codec = self.codec
         word_bytes = codec.word_bytes
         first_word = column // word_bytes
@@ -330,15 +335,12 @@ class DramModule:
         check = bank.check_bytes(row, allocate=True)
         raw = bank.read(row, first_word * word_bytes, (last_word - first_word + 1) * word_bytes)
         words = raw.view(np.uint64)
-        corrected = bytearray()
-        for i, word in enumerate(words):
-            word_index = first_word + i
-            result = codec.decode(int(word), int(check[word_index]))
-            if result.status != CLEAN:
-                self._ecc_corrected.add()
-            corrected += int(result.data).to_bytes(word_bytes, "little")
+        stored = check[first_word : last_word + 1]
+        for i in np.flatnonzero(codec.encode_words(words) != stored).tolist():
+            words[i] = codec.decode(int(words[i]), int(stored[i])).data
+            self._ecc_corrected.add()
         start = column - first_word * word_bytes
-        return bytes(corrected[start : start + length])
+        return raw[start : start + length].tobytes()
 
     def _update_check_bytes(self, bank: Bank, row: int, column: int, length: int) -> None:
         """Recompute check bytes for every word a write touched."""

@@ -56,9 +56,10 @@ class FtlConfig:
     #: Key for the hashed layout.
     l2p_key: int = 0x9E3779B97F4A7C15
     #: T10-DIF-style end-to-end integrity: every page carries a guard CRC
-    #: and a reference tag (its LBA); reads of a page whose reference tag
-    #: does not match the requested LBA fail instead of leaking (§5's
-    #: "block data integrity ... relying on the block's LBA").
+    #: and a reference tag (its LBA).  Reads verify only the reference tag:
+    #: a page whose tag does not match the requested LBA fails instead of
+    #: leaking (§5's "block data integrity ... relying on the block's
+    #: LBA").  The guard CRC is stored and carried through GC, not checked.
     dif: bool = False
     #: Incoming-write staging buffer in device DRAM (pages; 0 = write
     #: through).  §2.1: FTL DRAM also holds "incoming writes" — while a

@@ -33,21 +33,30 @@ class TenantKey:
         return cls(tenant=tenant, secret=digest)
 
 
+#: SHA-256 digest size: keystream bytes per counter value.
+_DIGEST_BYTES = 32
+#: Little-endian 4-byte counters for blocks of up to 4 KiB.
+_COUNTERS = tuple(i.to_bytes(4, "little") for i in range(4096 // _DIGEST_BYTES))
+
+
 def _keystream(key: TenantKey, lba: int, length: int) -> bytes:
     """Deterministic per-(key, LBA) keystream of ``length`` bytes."""
-    out = bytearray()
-    counter = 0
+    blocks = -(-length // _DIGEST_BYTES)
+    counters = _COUNTERS if blocks <= len(_COUNTERS) else [
+        i.to_bytes(4, "little") for i in range(blocks)
+    ]
     seed = key.secret + lba.to_bytes(8, "little")
-    while len(out) < length:
-        out += hashlib.sha256(seed + counter.to_bytes(4, "little")).digest()
-        counter += 1
-    return bytes(out[:length])
+    sha256 = hashlib.sha256
+    stream = b"".join([sha256(seed + counter).digest() for counter in counters[:blocks]])
+    return stream[:length]
 
 
 def encrypt_block(key: TenantKey, lba: int, plaintext: bytes) -> bytes:
     """Tweakable encryption of one block."""
-    stream = _keystream(key, lba, len(plaintext))
-    return bytes(a ^ b for a, b in zip(plaintext, stream))
+    length = len(plaintext)
+    stream = _keystream(key, lba, length)
+    mixed = int.from_bytes(plaintext, "little") ^ int.from_bytes(stream, "little")
+    return mixed.to_bytes(length, "little")
 
 
 #: XOR stream: decryption is the same operation.

@@ -34,11 +34,32 @@ class TestExamples:
         assert "Privilege escalation" in out
         assert "ROOT:" in out  # the setuid polyglot demo always lands
 
+    #: The EXPERIMENTS §5 table (seed 7, 6 cycles): mitigation -> flips,
+    #: hits, usable, p-text, recon, verdict.
+    SCORECARD = {
+        "baseline (no defense)": ("10", "3", "2", "2", "ok", "LEAKS"),
+        "ecc (SECDED)": ("15", "0", "0", "0", "ok", "HOLDS"),
+        "trr": ("0", "0", "0", "0", "ok", "HOLDS"),
+        "para": ("0", "0", "0", "0", "ok", "HOLDS"),
+        "refresh-2x (32ms)": ("8", "3", "2", "2", "ok", "LEAKS"),
+        "refresh-8x (8ms)": ("0", "0", "0", "0", "ok", "HOLDS"),
+        "ftl-cpu-cache (LRU)": ("0", "0", "0", "0", "ok", "HOLDS"),
+        "io-rate-limit (400K IOPS)": ("0", "0", "0", "0", "ok", "HOLDS"),
+        "l2p-randomization (secret key)": ("0", "0", "0", "0", "blind", "HOLDS"),
+        "enforce-extent-addressing": ("7", "0", "0", "0", "ok", "HOLDS"),
+        "per-tenant-encryption": ("10", "3", "2", "0", "ok", "HOLDS"),
+        "t10-dif-integrity": ("15", "3", "0", "0", "ok", "HOLDS"),
+    }
+
     def test_mitigation_comparison(self, capsys):
         out = run_example("mitigation_comparison.py", capsys)
-        assert "baseline (no defense)" in out
-        assert "LEAKS" in out
-        assert "HOLDS" in out
+        lines = out.splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("---")) + 1
+        rows = {}
+        for line in lines[first : first + len(self.SCORECARD)]:
+            fields = line.split()
+            rows[" ".join(fields[:-6])] = tuple(fields[-6:])
+        assert rows == self.SCORECARD
 
     def test_probability_study(self, capsys):
         out = run_example("probability_study.py", capsys)

@@ -12,7 +12,7 @@ from repro.mitigations import (
 from repro.mitigations.encryption import decrypt_block, encrypt_block
 from repro.mitigations.evaluation import looks_like_plaintext
 from repro.attack import AttackConfig
-from repro.ext4 import Credentials, Ext4Fs, ROOT
+from repro.ext4 import Credentials, Ext4Fs, ROOT, crc32c
 from repro.host.blockdev import BlockDevice
 from repro.nvme.commands import NvmeCommand, Opcode, StatusCode
 from repro.scenarios import build_cloud_testbed
@@ -134,6 +134,23 @@ class TestDif:
             result = ftl.read(lba)
             assert not result.integrity_error
             assert result.data == bytes([9]) * bs
+
+    def test_guard_crc_matches_page_after_gc(self):
+        """Reads check only the reference tag; the guard CRC written with
+        each page (and carried by GC) must still be the page's CRC-32C."""
+        testbed = build_cloud_testbed(seed=3, dif=True)
+        ftl = testbed.ftl
+        bs = testbed.controller.block_bytes
+        for lba in range(ftl.num_lbas):
+            ftl.write(lba, bytes([lba & 0xFF]) * bs)
+        # Rewriting the even LBAs of a full device leaves its blocks half
+        # valid, so GC has to move the odd LBAs' pages and their tags.
+        for lba in range(0, ftl.num_lbas, 2):
+            ftl.write(lba, bytes([1, lba & 0xFF]) * (bs // 2))
+        assert ftl.gc_stats.moved_pages > 0
+        assert len(ftl.dif_tags) >= ftl.num_lbas
+        for ppa, (guard, _lba) in ftl.dif_tags.items():
+            assert guard == crc32c(ftl.flash.inspect_page(ppa))
 
 
 class TestPlaintextHeuristic:
