@@ -13,9 +13,14 @@ Every entry point feeds activations into one of three shared steps:
 * the **per-ACT step** (:meth:`DramModule._act`) runs one activation
   through the TRR and PARA hooks and checks its neighbours for flips.
   Scalar :meth:`~DramModule.read`/:meth:`~DramModule.write` reach it
-  through the row buffer; :meth:`~DramModule.activate_burst` and the
+  through the row buffer.  :meth:`~DramModule.activate_burst` and the
   order-sensitive TRR replay of :meth:`~DramModule.access_batch` feed it
-  ordered activation sequences;
+  ordered activation streams as ``(unit, repeats)`` phases
+  (:meth:`DramModule._replay_activations`).  A long phase is replayed
+  exactly only until the sampler's state repeats at a unit boundary;
+  the repeating stretches are then skipped with exact arithmetic, up to
+  the stretch in which some victim would reach its next weak cell.  The
+  result is identical to feeding every ACT through the step;
 * the **histogram step** (:meth:`DramModule._account_histogram`) adds a
   coalesced ``(bank, row) -> count`` histogram to the current refresh
   window and evaluates each victim once with the final counts.
@@ -93,22 +98,62 @@ class HammerResult:
         return len(self.flips)
 
 
-def _round_robin(counts: Dict[Tuple[int, int], int]):
-    """The canonical interleaving a coalesced histogram stands for: cycle
-    over its distinct keys in first-seen order, one activation each,
-    until every count is spent."""
-    remaining = dict(counts)
-    keys = list(counts)
-    while remaining:
-        for key in keys:
-            n = remaining.get(key)
-            if not n:
-                continue
-            yield key
-            if n == 1:
-                del remaining[key]
-            else:
-                remaining[key] = n - 1
+def _round_robin_phases(counts: Dict[Tuple[int, int], int]):
+    """The canonical interleaving a coalesced histogram stands for, as
+    replay phases: cycle over its distinct keys in first-seen order, one
+    activation each, until every count is spent.  Every count level is one
+    ``(unit, repeats)`` phase over the keys that still have activations
+    left."""
+    phases = []
+    spent = 0
+    for level in sorted(set(counts.values())):
+        phases.append(([key for key, n in counts.items() if n > spent], level - spent))
+        spent = level
+    return phases
+
+
+#: Candidate periods :func:`_periodic_phases` checks before it gives up, so
+#: an aperiodic stream costs a few C-level list comparisons at most.
+_PERIOD_CANDIDATES = 8
+
+
+def _periodic_phases(seq: List[Tuple[int, int]]):
+    """An ordered activation list as replay phases: its smallest period
+    ``p`` (a ``p`` with ``seq[p:] == seq[:n - p]``, repeated at least
+    twice) as one phase and the partial period after it as another, or
+    the whole list once when it is not periodic."""
+    n = len(seq)
+    if n >= 4:
+        first = seq[0]
+        period = 0
+        for _ in range(_PERIOD_CANDIDATES):
+            try:
+                period = seq.index(first, period + 1, n // 2 + 1)
+            except ValueError:
+                break
+            if seq[period:] == seq[: n - period]:
+                repeats, tail = divmod(n, period)
+                phases = [(seq[:period], repeats)]
+                if tail:
+                    phases.append((seq[n - tail :], 1))
+                return phases
+    return [(seq, 1)]
+
+
+class _TrrLog:
+    """Stands in for the tracer over one exactly replayed stretch and keeps
+    its ``dram.trr`` events: the only events a skipped stretch repeats."""
+
+    __slots__ = ("tracer", "events")
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        self.events: List[Dict] = []
+
+    def emit(self, name: str, **fields) -> None:
+        if name == "dram.trr":
+            self.events.append(fields)
+        self.tracer.emit(name, **fields)
 
 
 class _PatternPlan:
@@ -764,7 +809,10 @@ class DramModule:
         depend on the activation *sequence*, so the cap-or-evade
         approximation is unfaithful for them: the histogram is then
         replayed exactly in its canonical interleaving, cycling over the
-        distinct (bank, row) keys in first-seen order.
+        distinct (bank, row) keys in first-seen order.  That interleaving
+        is periodic between count levels, so it is replayed as one phase
+        per level, and the repeating stretches of each are skipped in
+        closed form.
         """
         counts: Dict[Tuple[int, int], int] = {}
         bank_rows: Dict[int, List[int]] = {}
@@ -785,7 +833,7 @@ class DramModule:
         if not counts:
             return []
         if self.trr is not None and self.trr.exact_batch_replay:
-            return self._replay_activations(_round_robin(counts))
+            return self._replay_activations(_round_robin_phases(counts))
         flips_before = len(self.flips)
         self._account_histogram(counts, bank_rows)
         return self.flips[flips_before:]
@@ -803,6 +851,14 @@ class DramModule:
         event.  This is the U-TRR pipeline's hammer primitive: sampler
         policies are distinguished by activation *order*, which a
         coalesced histogram cannot express.
+
+        A sequence that repeats one cycle (its smallest period, found with
+        a few C-level list comparisons) runs exactly only until the
+        sampler's state repeats; the repeating stretches are then skipped
+        with exact arithmetic.  A 512-cycle U-TRR probe then runs between
+        a twentieth and a third of its cycles through the per-ACT step,
+        with byte-identical results; one whose sampler draws at random
+        runs them all.
         """
         total_banks = self.geometry.total_banks
         rows_per_bank = self._rows_per_bank
@@ -813,12 +869,16 @@ class DramModule:
                 raise DramAddressError(
                     "row %d out of range in bank %d" % (row, bank_idx)
                 )
-        return self._replay_activations(activations)
+        return self._replay_activations(_periodic_phases(list(activations)))
 
-    def _replay_activations(self, seq) -> List[FlipEvent]:
-        """Run pre-validated (bank, row) activations one by one through the
-        per-ACT step, rolling each bank into the current window at its
-        first activation; returns the new flip events."""
+    def _replay_activations(self, phases) -> List[FlipEvent]:
+        """Run pre-validated activation phases through the per-ACT step,
+        rolling each bank into the current window at its first activation;
+        returns the new flip events.  A phase is a ``(unit, repeats)``
+        pair: the ordered ``(bank, row)`` list ``unit`` run ``repeats``
+        times back to back.  Long phases replay exactly only until the
+        sampler's state repeats and skip the repeating stretches in closed
+        form (:meth:`_replay_phase`)."""
         flips_before = len(self.flips)
         epoch = self.clock.epoch(self.refresh_interval)
         trr = self.trr
@@ -826,19 +886,208 @@ class DramModule:
         act = self._act
         rolled: set = set()
         total = 0
-        for bank_idx, row in seq:
-            bank = banks[bank_idx]
-            if bank_idx not in rolled:
-                if bank.roll_epoch(epoch) and trr is not None:
-                    trr.on_window(bank_idx)
-                rolled.add(bank_idx)
-            act(bank, bank_idx, row)
-            total += 1
+        for unit, repeats in phases:
+            entries = [(banks[bank_idx], bank_idx, row) for bank_idx, row in unit]
+
+            def run(count: int) -> None:
+                for _ in range(count):
+                    for bank, bank_idx, row in entries:
+                        if bank_idx not in rolled:
+                            if bank.roll_epoch(epoch) and trr is not None:
+                                trr.on_window(bank_idx)
+                            rolled.add(bank_idx)
+                        act(bank, bank_idx, row)
+
+            total += repeats * len(entries)
+            if repeats < 4 or self.para is not None:
+                # Finding a period, confirming it and skipping a stretch
+                # take four units at least; PARA draws on every ACT, so its
+                # state never repeats.
+                run(repeats)
+            else:
+                self._replay_phase(entries, repeats, run)
         if total:
             self._activations.add(total)
             if self.tracer is not None:
                 self.tracer.emit("dram.activate", count=total)
         return self.flips[flips_before:]
+
+    def _replay_phase(self, entries, repeats: int, run) -> None:
+        """Replay ``repeats`` units of one phase, skipping what repeats.
+
+        After each whole unit the sampler's state is keyed; when a key
+        repeats ``period`` units later, the phase alternates one stretch of
+        ``period`` units run exactly with a closed-form jump over as many
+        further stretches as :meth:`_skip_stretches` allows.  The RNG of
+        random replacement is not keyed: a unit in which it drew restarts
+        the search, and the key leads with the draw count, so no stretch
+        that drew counts as repeating."""
+        trr = self.trr
+        unit_banks = list(dict.fromkeys(bank_idx for _b, bank_idx, _r in entries))
+
+        def state():
+            if trr is None:
+                return (0, ())
+            return (trr.draws, trr.sampler_state(unit_banks))
+
+        stretch = self._stretch_plan(entries)
+        seen: Dict[int, int] = {}
+        draws = trr.draws if trr is not None else 0
+        done = period = 0
+        while done < repeats:
+            if not period:
+                run(1)
+                done += 1
+                if trr is not None and trr.draws != draws:
+                    draws = trr.draws
+                    seen.clear()
+                    continue
+                period = done - seen.setdefault(hash(state()), done)
+            elif repeats - done < 2 * period:
+                run(repeats - done)
+                done = repeats
+            else:
+                limit = (repeats - done) // period - 1
+                skipped = self._skip_stretches(stretch, period, limit, run, state)
+                done += period
+                if skipped is None:
+                    period = 0
+                    seen.clear()
+                else:
+                    done += skipped * period
+
+    def _stretch_plan(self, entries):
+        """What a stretch of ``entries`` units can change: the activation
+        count of each ``(bank, row)`` per unit, and every ``(bank, bank
+        index, row)`` within reach of its rows — of the TRR refresh
+        (``neighbor_radius``) or of disturbance (2 with Half-Double)."""
+        per_unit: Dict[Tuple[int, int], int] = {}
+        for _bank, bank_idx, row in entries:
+            key = (bank_idx, row)
+            per_unit[key] = per_unit.get(key, 0) + 1
+        reach = max(
+            self.trr.neighbor_radius if self.trr is not None else 1,
+            self._victim_deltas[-1],
+        )
+        rows_per_bank = self._rows_per_bank
+        victims = {}
+        for bank, bank_idx, row in entries:
+            for victim in range(max(row - reach, 0), min(row + reach + 1, rows_per_bank)):
+                victims[(bank_idx, victim)] = bank
+        return per_unit, [(bank, bank_idx, v) for (bank_idx, v), bank in victims.items()]
+
+    def _skip_stretches(self, stretch, period: int, limit: int, run, state) -> Optional[int]:
+        """Run one stretch of ``period`` units exactly, then skip up to
+        ``limit`` more in closed form; returns how many were skipped, or
+        None when the sampler's ``state()`` at the stretch's end differs
+        from its start.
+
+        Every skipped stretch does exactly what the exact one did: each row
+        gains the same activations, the sampler passes through the same
+        states and refreshes the same victims at the same points.  So a
+        victim refreshed in the stretch whose since-refresh counts are
+        the same at both of its ends repeats the same disturbance in every
+        stretch, and can flip nothing new; every other victim only gains
+        disturbance, and the skip stops short of the stretch in which it
+        would reach its next weak cell.  (A cell at or below the
+        disturbance already reached was applied then, and applying it
+        again is a no-op: cells have distinct (byte, bit) positions.)"""
+        per_unit, victims = stretch
+        trr = self.trr
+        tracer = self.tracer
+        before = state()
+        bases = [bank.victim_baseline.get(victim) for bank, _i, victim in victims]
+        refreshes = trr.refreshes_issued if trr is not None else 0
+        log = None
+        if tracer is not None:
+            log = self.tracer = _TrrLog(tracer)
+        try:
+            run(period)
+        finally:
+            self.tracer = tracer
+        if state() != before:
+            return None
+        gained = {key: n * period for key, n in per_unit.items()}
+        skip = limit
+        refreshed = []
+        for (bank, bank_idx, victim), old_base in zip(victims, bases):
+            base = bank.victim_baseline.get(victim)
+            gain = (
+                gained.get((bank_idx, victim - 1), 0),
+                gained.get((bank_idx, victim + 1), 0),
+                gained.get((bank_idx, victim - 2), 0),
+                gained.get((bank_idx, victim + 2), 0),
+            )
+            if base != old_base:
+                old = old_base or (0, 0, 0, 0)
+                if (base[0] - old[0], base[1] - old[1], base[2] - old[2], base[3] - old[3]) != gain:
+                    return 0
+                refreshed.append((bank, victim, base, gain))
+            elif gain[0] or gain[1] or (self._neighbor2_weight and (gain[2] or gain[3])):
+                skip = self._stretches_below_next_cell(bank, victim, base, gain, skip)
+                if not skip:
+                    return 0
+        if not skip:
+            return 0
+        banks = self.banks
+        for (bank_idx, row), n in gained.items():
+            banks[bank_idx].acts[row] += skip * n
+        for bank, victim, base, gain in refreshed:
+            bank.victim_baseline[victim] = (
+                base[0] + skip * gain[0],
+                base[1] + skip * gain[1],
+                base[2] + skip * gain[2],
+                base[3] + skip * gain[3],
+            )
+        if trr is not None:
+            trr.refreshes_issued += skip * (trr.refreshes_issued - refreshes)
+        if log is not None:
+            for _ in range(skip):
+                for fields in log.events:
+                    tracer.emit("dram.trr", **fields)
+        return skip
+
+    def _stretches_below_next_cell(self, bank: Bank, victim: int, base, gain, limit: int) -> int:
+        """The most stretches, up to ``limit``, after which an unrefreshed
+        victim whose neighbours gain ``gain`` activations per stretch stays
+        strictly below the next weak cell above its current disturbance.
+        The closed form is :meth:`_disturbance`'s arithmetic with every
+        count advanced by whole stretches."""
+        current = self._disturbance(bank, victim)
+        cells = self.vulnerability.row_vulnerability(bank.index, victim).cells
+        ceiling = next((c.threshold for c in cells if c.threshold > current), None)
+        if ceiling is None:
+            return limit
+        acts = bank.acts
+        base = base or (0, 0, 0, 0)
+        left = acts.get(victim - 1, 0) - base[0]
+        right = acts.get(victim + 1, 0) - base[1]
+        left2 = acts.get(victim - 2, 0) - base[2]
+        right2 = acts.get(victim + 2, 0) - base[3]
+        synergy = self._synergy
+        weight2 = self._neighbor2_weight
+
+        def below(j: int) -> bool:
+            a = left + j * gain[0]
+            b = right + j * gain[1]
+            disturbance = a + b + synergy * (a if a < b else b)
+            if weight2:
+                a2 = left2 + j * gain[2]
+                b2 = right2 + j * gain[3]
+                if a2 or b2:
+                    disturbance += weight2 * (a2 + b2)
+            return disturbance < ceiling
+
+        if below(limit):
+            return limit
+        low, high = 0, limit  # below(low) holds, below(high) does not
+        while high - low > 1:
+            mid = (low + high) // 2
+            if below(mid):
+                low = mid
+            else:
+                high = mid
+        return low
 
     def _account_histogram(
         self, counts: Dict[Tuple[int, int], int], bank_rows: Dict[int, List[int]]

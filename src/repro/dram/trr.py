@@ -40,7 +40,7 @@ specs, and the serve frontend can vary it without code edits.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Sampling policies a :class:`TargetRowRefresh` tracker can run.
 SAMPLING_POLICIES = ("counter_lru", "random_sample", "first_k_per_window")
@@ -87,6 +87,9 @@ class TargetRowRefresh:
         self._trackers: Dict[int, Dict[Any, int]] = {}
         #: Total targeted refreshes issued (observability).
         self.refreshes_issued = 0
+        #: Random replacements drawn so far: the seeded RNG has moved
+        #: exactly when this has.
+        self.draws = 0
 
     # ------------------------------------------------------------------
     # configuration round-trip
@@ -134,11 +137,16 @@ class TargetRowRefresh:
             or self.neighbor_radius != 1
         )
 
-    def _tracker_for(self, bank: int) -> Tuple[Dict[Any, int], Any]:
-        """(tracker dict, entry key) for one activation."""
+    def sampler_state(self, banks: Sequence[int]) -> Tuple[Any, ...]:
+        """The tracker state activations in ``banks`` can read or change,
+        as a hashable value: each bank's table (or the shared one) as its
+        items in insertion order, which evict-min tie-breaks depend on.
+        The random-replacement RNG is not part of it; :attr:`draws` tells
+        when it has moved."""
+        trackers = self._trackers
         if self.per_bank:
-            return self._trackers.setdefault(bank, {}), None
-        return self._trackers.setdefault(0, {}), bank
+            return tuple(tuple(trackers.get(bank, {}).items()) for bank in banks)
+        return tuple(trackers.get(0, {}).items())
 
     def on_activation(self, bank: int, row: int) -> List[int]:
         """Account one activation; returns victim rows to refresh (may be
@@ -162,6 +170,7 @@ class TargetRowRefresh:
             # Sampler full: replace a uniformly random entry.  Hot rows
             # get unlucky at a seeded-reproducible rate.
             evicted = self._rng.choice(list(tracker))
+            self.draws += 1
             del tracker[evicted]
             tracker[key] = 1
         else:

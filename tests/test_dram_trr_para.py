@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.dram import (
+    SAMPLING_POLICIES,
+    DramAddress,
     DramGeometry,
     DramModule,
     GenerationProfile,
@@ -14,6 +16,7 @@ from repro.dram import (
     VulnerabilityModel,
 )
 from repro.sim import SimClock
+from repro.trace import Tracer
 
 
 class TestTrrTracking:
@@ -279,3 +282,196 @@ class TestCapOrEvadeVsExactReplay:
     def test_exact_flips_are_a_subset(self, histogram, capacity, threshold, seed):
         approx, exact = cap_or_evade_vs_exact(histogram, capacity, threshold, seed)
         assert exact <= approx
+
+
+# -- periodic extrapolation vs one ACT at a time ----------------------------
+
+
+@st.composite
+def replay_modules(draw):
+    """Keyword arguments for :func:`_replay_module`: every sampler policy,
+    per-bank and shared trackers, radius 1-2, threshold 2-64, the
+    Half-Double shell on or off, ECC on or off, 0x00/0xff planted rows."""
+    return {
+        "policy": draw(st.sampled_from(SAMPLING_POLICIES)),
+        "per_bank": draw(st.booleans()),
+        "radius": draw(st.integers(1, 2)),
+        "threshold": draw(st.integers(2, 64)),
+        "capacity": draw(st.integers(1, 6)),
+        "weight2": draw(st.sampled_from((0.0, 0.3))),
+        "ecc": draw(st.booleans()),
+        "plant": draw(st.sampled_from((b"\x00", b"\xff", None))),
+        "seed": draw(st.integers(0, 50)),
+    }
+
+
+def _replay_module(policy, per_bank, radius, threshold, capacity, weight2, ecc,
+                   plant, seed, traced=False):
+    """A two-bank module with every row planted through accounted writes
+    (``plant`` None alternates 0x00/0xff by row), then moved into a fresh
+    refresh window, so the sampler starts from the writes' stale state."""
+    geometry = DramGeometry.small(rows_per_bank=ROWS, row_bytes=ROW_BYTES)
+    vulnerability = VulnerabilityModel(
+        FRAGILE, geometry, seed=seed, neighbor2_weight=weight2, include_check_bits=ecc
+    )
+    trr = TargetRowRefresh(
+        tracker_capacity=capacity,
+        refresh_threshold=threshold,
+        sampling_policy=policy,
+        per_bank=per_bank,
+        neighbor_radius=radius,
+        seed=seed,
+    )
+    clock = SimClock()
+    dram = DramModule(geometry, vulnerability, clock, trr=trr, ecc=ecc)
+    for bank in range(2):
+        for row in range(ROWS):
+            pattern = plant if plant is not None else (b"\xff" if row % 2 else b"\x00")
+            address = dram.mapping.address_of(DramAddress(bank, row, 0))
+            dram.write(address, pattern * ROW_BYTES)
+    clock.advance(dram.refresh_interval)
+    if traced:
+        dram.tracer = Tracer(clock)
+    return dram
+
+
+def _replay_state(dram):
+    """Everything an activation stream can change, dict key order included
+    (trace ``seq`` numbers and the per-call ``dram.activate`` events are
+    left out: a stream fed one ACT per call emits one per ACT)."""
+    trr = dram.trr
+    events = None
+    if dram.tracer is not None:
+        events = [
+            {k: v for k, v in event.items() if k != "seq"}
+            for event in dram.tracer.events
+            if event["name"] != "dram.activate"
+        ]
+    return (
+        dram.flips,
+        [(list(b.acts.items()), list(b.victim_baseline.items())) for b in dram.banks],
+        [bytes(row) for b in dram.banks for row in b.data_rows.values()],
+        [(key, list(table.items())) for key, table in trr._trackers.items()],
+        trr.refreshes_issued,
+        trr.draws,
+        trr._rng.getstate(),
+        dram.metrics.counter("activations").value,
+        events,
+    )
+
+
+def _one_act_at_a_time(dram, order):
+    for entry in order:
+        dram.activate_burst([entry])
+
+
+@st.composite
+def periodic_streams(draw):
+    unit = draw(
+        st.lists(
+            st.tuples(st.integers(0, 1), st.integers(1, ROWS - 2)), min_size=1, max_size=8
+        )
+    )
+    repeats = draw(st.integers(1, 300))
+    tail = draw(st.integers(0, len(unit) - 1))
+    return unit * repeats + unit[:tail]
+
+
+class TestPeriodicReplayEquivalence:
+    """Periodic streams replay exactly until the sampler's state repeats
+    and skip the repeating stretches in closed form.  The reference is
+    the same stream fed one ACT per ``activate_burst`` call: a one-ACT
+    burst has no period, so it runs every ACT through the per-ACT step."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(config=replay_modules(), order=periodic_streams(), traced=st.booleans())
+    def test_periodic_burst_matches_one_act_at_a_time(self, config, order, traced):
+        fast = _replay_module(traced=traced, **config)
+        fast.activate_burst(order)
+        reference = _replay_module(traced=traced, **config)
+        _one_act_at_a_time(reference, order)
+        assert _replay_state(fast) == _replay_state(reference)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        config=replay_modules(),
+        histogram=trr_histograms(),
+        traced=st.booleans(),
+    )
+    def test_multi_phase_histogram_matches_one_act_at_a_time(
+        self, config, histogram, traced
+    ):
+        """``access_batch`` replays an order-sensitive sampler's histogram
+        as one phase per count level."""
+        fast = _replay_module(traced=traced, **config)
+        assume(fast.trr.exact_batch_replay)
+        fast.access_batch(histogram)
+        remaining = [[bank, row, n] for bank, row, n in histogram]
+        order = []
+        while remaining:
+            for entry in remaining:
+                order.append((entry[0], entry[1]))
+                entry[2] -= 1
+            remaining = [entry for entry in remaining if entry[2]]
+        reference = _replay_module(traced=traced, **config)
+        _one_act_at_a_time(reference, order)
+        assert _replay_state(fast) == _replay_state(reference)
+
+    def test_half_double_victim_flips_inside_a_skippable_stream(self):
+        """Row 12 sits two rows from both aggressors: a radius-1 sampler
+        refreshes rows 11 and 13 but never 12, which gains disturbance
+        only through the distance-2 shell and flips part-way through."""
+        config = dict(
+            policy="counter_lru", per_bank=True, radius=1, threshold=24, capacity=4,
+            weight2=0.3, ecc=False, plant=b"\x00", seed=2,
+        )
+        order = [(0, 10), (0, 14)] * 1500
+        fast = _replay_module(**config)
+        fast.activate_burst(order)
+        reference = _replay_module(**config)
+        _one_act_at_a_time(reference, order)
+        assert any(flip.row == 12 for flip in reference.flips)
+        assert _replay_state(fast) == _replay_state(reference)
+
+    def test_para_burst_matches_one_act_at_a_time(self):
+        def run(burst):
+            geometry = DramGeometry.small(rows_per_bank=ROWS, row_bytes=ROW_BYTES)
+            dram = DramModule(
+                geometry,
+                VulnerabilityModel(FRAGILE, geometry, seed=4),
+                SimClock(),
+                para=Para(probability=0.01, seed=4),
+            )
+            for row in range(ROWS):
+                dram.banks[0].write(row, 0, np.zeros(ROW_BYTES, np.uint8))
+            order = [(0, 10), (0, 12)] * 400
+            if burst:
+                dram.activate_burst(order)
+            else:
+                _one_act_at_a_time(dram, order)
+            return dram.flips, dram.para.refreshes_issued, dram.banks[0].victim_baseline
+
+        assert run(True) == run(False)
+
+    def test_probe_skips_most_of_a_512_cycle_stream(self):
+        """The fast path must not die silently: a U-TRR onset probe (three
+        aggressors, 512 cycles) against ``counter_lru`` runs only a small
+        share of its ACTs through the per-ACT step."""
+        dram = _replay_module(
+            policy="counter_lru", per_bank=True, radius=1, threshold=24, capacity=2,
+            weight2=0.0, ecc=False, plant=b"\x00", seed=1,
+        )
+        calls = []
+        per_act = dram._act
+
+        def counting_act(bank, bank_idx, row):
+            calls.append(row)
+            per_act(bank, bank_idx, row)
+
+        dram._act = counting_act
+        activations = dram.metrics.counter("activations")
+        planted = activations.value
+        order = [(0, 8), (0, 12), (0, 16)] * 512
+        dram.activate_burst(order)
+        assert activations.value - planted == len(order)
+        assert len(calls) < len(order) // 4

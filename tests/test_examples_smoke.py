@@ -1,8 +1,4 @@
-"""Smoke tests: every example script must run and print its key lines.
-
-(The blind-recon example is exercised through its library tests in
-test_attack_timing_recon.py instead — its full sweep is slow.)
-"""
+"""Smoke tests: every example script must run and print its key lines."""
 
 import importlib.util
 import os
@@ -60,6 +56,10 @@ class TestExamples:
             fields = line.split()
             rows[" ".join(fields[:-6])] = tuple(fields[-6:])
         assert rows == self.SCORECARD
+
+    def test_blind_recon(self, capsys):
+        out = run_example("blind_recon.py", capsys)
+        assert "The attacker now owns a hammer-ready row map" in out
 
     def test_probability_study(self, capsys):
         out = run_example("probability_study.py", capsys)
