@@ -584,16 +584,16 @@ class Ext4Fs:
         except (FsNotFoundError, FsPermissionError):
             return False
 
-    def check(self) -> None:
-        """Verify filesystem structural invariants: every tree walk from
+    def check(self) -> Dict[str, str]:
+        """Verify filesystem structural invariants (every tree walk from
         the root parses, extent leaves pass their checksums, no two files
-        claim the same block, and every reachable block is marked allocated.
-        Performs real device reads (checking IS I/O); raises
-        :class:`~repro.testkit.invariants.InvariantViolation` on breakage.
+        claim a block, every reachable block is allocated) with real device
+        reads; returns :func:`~repro.testkit.invariants.check_fs`'s
+        verdicts and raises its ``InvariantViolation`` on breakage.
         """
         from repro.testkit.invariants import check_fs
 
-        check_fs(self)
+        return check_fs(self)
 
     # ------------------------------------------------------------------
     # layout inspection (experiments / the spray stage)

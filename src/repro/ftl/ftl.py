@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, FrozenSet, List, Optional
 
 import numpy as np
 
+from repro.dram.address import DramAddress
 from repro.dram.cache import FtlCpuCache
 from repro.errors import (
     ConfigError,
@@ -33,7 +34,7 @@ from repro.errors import (
 from repro.flash.array import FlashArray
 from repro.flash.block import PageOob
 from repro.ftl.gc import GcStats, GreedyGarbageCollector
-from repro.ftl.l2p import HashedL2p, L2pTable, LinearL2p, UNMAPPED
+from repro.ftl.l2p import ENTRY_BYTES, HashedL2p, L2pTable, LinearL2p, UNMAPPED
 from repro.sim.metrics import MetricRegistry
 
 
@@ -610,12 +611,39 @@ class PageMappingFtl:
     # reporting & verification
     # ------------------------------------------------------------------
 
+    def flip_affected_lbas(self) -> FrozenSet[int]:
+        """LBAs whose L2P entry a recorded disturbance flip hit: the one
+        flip attribution every checker asks.  Their damage is the attack
+        working, not an FTL bug, and outlives a rewrite of the entry."""
+        dram, start = self.memory.dram, self.l2p.base_addr
+        affected = set()
+        for event in dram.flips:
+            if event.in_check_region:
+                continue
+            addr = dram.mapping.address_of(
+                DramAddress(event.bank, event.row, event.byte_offset)
+            )
+            if start <= addr < start + self.l2p.table_bytes:
+                lba = self.l2p.lba_of_slot((addr - start) // ENTRY_BYTES)
+                if lba < self.num_lbas:
+                    affected.add(lba)
+        return frozenset(affected)
+
+    def flip_redirected_lbas(self) -> FrozenSet[int]:
+        """The :meth:`flip_affected_lbas` whose entry still names a page,
+        off the array or on it, that the reverse map does not give them."""
+        return frozenset(
+            lba
+            for lba in self.flip_affected_lbas()
+            if self.l2p.peek(lba) is not None
+            and self.reverse.get(self.l2p.peek(lba)) != lba
+        )
+
     def check(self, exempt_lbas=()) -> None:
         """Verify FTL structural invariants (L2P/reverse-map agreement,
         valid-count conservation, free/sealed-pool disjointness) without
-        perturbing DRAM state.  ``exempt_lbas`` names LBAs whose entries a
-        disturbance flip legitimately corrupted; raises
-        :class:`~repro.testkit.invariants.InvariantViolation` otherwise.
+        perturbing DRAM state, excusing :meth:`flip_affected_lbas` and
+        ``exempt_lbas``; raises :class:`~repro.testkit.invariants.InvariantViolation`.
         """
         from repro.testkit.invariants import check_ftl
 

@@ -57,10 +57,6 @@ class MitigationOutcome:
     notes: str = ""
 
     @property
-    def attack_succeeded(self) -> bool:
-        return self.plaintext_leaks > 0
-
-    @property
     def mitigated(self) -> bool:
         """The defense held: no intelligible data escaped."""
         return self.plaintext_leaks == 0
@@ -146,7 +142,8 @@ def evaluate_mitigation(
         any(marker in leak.data for marker in secret_bits) for leak in result.leaks
     )
     outcome.plaintext_leaks = sum(
-        1 for leak in result.leaks if looks_like_plaintext(leak.data)
+        1 for leak in result.leaks
+        if leak.category != "empty" and looks_like_plaintext(leak.data)
     )
     return outcome
 

@@ -225,24 +225,24 @@ class DurabilityLedger:
         ``flash.inspect_page``) so auditing never advances the clock or
         perturbs fault-injection counters.  ``exempt`` lists device LBAs
         whose payload an injected retention flip corrupted — that is
-        correct device behavior, not data loss.  An L2P entry that a
-        disturbance flip pointed off the flash array (the same test
-        :meth:`PageMappingFtl.read` applies) is the attack's outcome, not a
-        loss either: those LBAs are counted as ``hammer_redirected``.
+        correct device behavior, not data loss.  Nor is an entry that a
+        recorded disturbance flip redirected, off the flash array or onto
+        another page (:meth:`PageMappingFtl.flip_redirected_lbas`): that is
+        the attack's outcome, counted as ``hammer_redirected``.
         """
         exempt = set(exempt)
-        total_pages = ftl.flash.geometry.total_pages
+        redirected_lbas = ftl.flip_redirected_lbas()
         intact = 0
         lost = 0
         resurrected = 0
         corrupt_exempt = 0
         redirected = 0
         for lba in sorted(self.history):
-            generations = self.history[lba]
-            ppa = ftl.l2p.peek(lba)
-            if ppa is not None and ppa >= total_pages:
+            if lba in redirected_lbas:
                 redirected += 1
                 continue
+            generations = self.history[lba]
+            ppa = ftl.l2p.peek(lba)
             current = None if ppa is None else ftl.flash.inspect_page(ppa)
             if lba in self.trimmed:
                 if current is None:

@@ -16,9 +16,12 @@ check necessarily performs real device reads (walking the tree IS I/O).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.ftl.l2p import ENTRY_BYTES
+from repro.ftl.ftl import PageMappingFtl
+
+#: The FTL's flip attribution, importable under its historical name.
+flip_affected_lbas = PageMappingFtl.flip_affected_lbas
 
 
 class InvariantViolation(AssertionError):
@@ -30,41 +33,6 @@ def _fail(layer: str, message: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# flip attribution
-# ----------------------------------------------------------------------
-
-def flip_affected_lbas(ftl, flips: Optional[Iterable] = None) -> FrozenSet[int]:
-    """LBAs whose L2P entries the given disturbance flips corrupted.
-
-    Maps each data-region flip to its DRAM physical address, then — when
-    the address falls inside the table region — back through the layout's
-    slot permutation to the owning LBA.  These are the entries the
-    "agreement modulo injected flips" checks exempt: their corruption is
-    the paper's attack working as specified, not an FTL bug.
-    """
-    from repro.dram.address import DramAddress
-
-    dram = ftl.memory.dram
-    l2p = ftl.l2p
-    table_start = l2p.base_addr
-    table_end = table_start + l2p.table_bytes
-    affected: Set[int] = set()
-    for event in flips if flips is not None else dram.flips:
-        if event.in_check_region:
-            continue
-        addr = dram.mapping.address_of(
-            DramAddress(event.bank, event.row, event.byte_offset)
-        )
-        if not table_start <= addr < table_end:
-            continue
-        slot = (addr - table_start) // ENTRY_BYTES
-        lba = l2p.lba_of_slot(slot)
-        if lba < ftl.num_lbas:
-            affected.add(lba)
-    return frozenset(affected)
-
-
-# ----------------------------------------------------------------------
 # FTL
 # ----------------------------------------------------------------------
 
@@ -72,7 +40,7 @@ def check_ftl(ftl, exempt_lbas: Iterable[int] = ()) -> None:
     """FTL structural invariants, read without perturbing DRAM.
 
     * L2P <-> reverse-map agreement: every mapped, in-range entry is owned
-      by exactly the LBA the reverse map names (modulo ``exempt_lbas``).
+      by its reverse-map LBA (modulo ``flip_affected_lbas()``, ``exempt_lbas``).
     * OOB agreement: the spare-area reference tag of every mapped page
       names the owning LBA — the invariant crash recovery rebuilds the
       table from.
@@ -84,7 +52,7 @@ def check_ftl(ftl, exempt_lbas: Iterable[int] = ()) -> None:
     """
     geometry = ftl.flash.geometry
     total_pages = geometry.total_pages
-    exempt = frozenset(exempt_lbas)
+    exempt = ftl.flip_affected_lbas().union(exempt_lbas)
     staged = set()
     if ftl.write_buffer is not None:
         staged = {
@@ -284,7 +252,7 @@ def check_dram(dram) -> None:
 # ext4
 # ----------------------------------------------------------------------
 
-def check_fs(fs) -> None:
+def check_fs(fs) -> Dict[str, str]:
     """Filesystem structural invariants, walked from the root.
 
     * Every reachable inode parses and stays inside its format limits
@@ -295,6 +263,13 @@ def check_fs(fs) -> None:
     * No two files claim the same block, and every claimed block is marked
       allocated in the on-disk bitmap.
 
+    The attack's damage is classified, not failed: an inode whose inode
+    table, indirect, extent or directory block the walk read through an
+    entry a flip redirects (``ftl.flip_redirected_lbas()``), or that breaks
+    after reading through one a flip ever hit (``flip_affected_lbas()``),
+    gets an ``attack_redirected`` verdict, claims no blocks and is not
+    walked further.  Returns {path: verdict}.
+
     Walking the tree performs real device reads; run it at checkpoints,
     not between hammer windows whose timing matters.
     """
@@ -302,6 +277,10 @@ def check_fs(fs) -> None:
     from repro.ext4.consts import NO_BLOCK, ROOT_INO
     from repro.ext4.dirent import DirectoryBlock
 
+    ftl, start = fs.device.controller.ftl, fs.device.namespace.start_lba
+    flipped = {lba - start for lba in ftl.flip_affected_lbas()}
+    redirected = {lba - start for lba in ftl.flip_redirected_lbas()}
+    verdicts: Dict[str, str] = {}
     claims: Dict[int, Tuple[int, str]] = {}
     seen: Set[int] = set()
     stack: List[Tuple[int, str]] = [(ROOT_INO, "/")]
@@ -332,11 +311,8 @@ def check_fs(fs) -> None:
                 % (ino, block),
             )
 
-    while stack:
-        ino, path = stack.pop()
-        if ino in seen:
-            _fail("ext4", "inode %d reachable twice (cycle or double link)" % ino)
-        seen.add(ino)
+    def read_step(ino: int, path: str):
+        """One inode's block map and the children its directory names."""
         try:
             inode = fs._read_inode(ino)
         except (FsCorruptionError, FsError) as exc:
@@ -347,45 +323,69 @@ def check_fs(fs) -> None:
                 "inode %d (%s) is linked but not allocated in the bitmap"
                 % (ino, path),
             )
+        children: List[Tuple[int, str]] = []
         try:
             layout = fs._layout_of(inode)
-        except (FsCorruptionError, FsError) as exc:
-            _fail("ext4", "inode %d (%s) has a corrupt block map: %s" % (ino, path, exc))
-        for block in layout.data_blocks:
-            claim(block, ino, "data of %s" % path)
-        for block in layout.metadata_blocks:
-            claim(block, ino, "metadata of %s" % path)
-        if inode.is_directory:
-            count = -(-inode.size // fs.block_bytes)
-            for logical in range(count):
-                physical = fs._block_lookup(inode, logical)
-                if physical == NO_BLOCK:
-                    continue
-                entries = DirectoryBlock(
-                    fs.device.read_block(physical)
-                ).live_entries()
-                for child_ino, name in entries:
+            for physical in layout.data_blocks if inode.is_directory else ():
+                raw = fs.device.read_block(fs._check_pointer(physical))
+                for child_ino, name in DirectoryBlock(raw).live_entries():
                     if not 1 <= child_ino <= fs.sb.inode_count:
                         _fail(
                             "ext4",
                             "directory %s entry %r names invalid inode %d"
                             % (path, name, child_ino),
                         )
-                    stack.append((child_ino, path.rstrip("/") + "/" + name))
+                    children.append((child_ino, path.rstrip("/") + "/" + name))
+        except (FsCorruptionError, FsError) as exc:
+            _fail("ext4", "inode %d (%s) has a corrupt block map: %s" % (ino, path, exc))
+        return layout, children
+
+    read_block, reads = fs.device.read_block, set()
+
+    def logged_read(block: int) -> bytes:
+        reads.add(block)
+        return read_block(block)
+
+    # Shadow the device read for the walk: what a step read decides its verdict.
+    fs.device.read_block = logged_read
+    try:
+        while stack:
+            ino, path = stack.pop()
+            if ino in seen:
+                _fail("ext4", "inode %d reachable twice (cycle or double link)" % ino)
+            seen.add(ino)
+            reads.clear()
+            try:
+                layout, children = read_step(ino, path)
+            except InvariantViolation:
+                if not reads & flipped:
+                    raise
+                verdicts[path] = "attack_redirected"
+                continue
+            if reads & redirected:
+                verdicts[path] = "attack_redirected"
+                continue
+            for block in layout.data_blocks:
+                claim(block, ino, "data of %s" % path)
+            for block in layout.metadata_blocks:
+                claim(block, ino, "metadata of %s" % path)
+            stack.extend(children)
+    finally:
+        del fs.device.read_block
+    return verdicts
 
 
 # ----------------------------------------------------------------------
 # whole stack
 # ----------------------------------------------------------------------
 
-def check_stack(ftl=None, dram=None, fs=None, exempt_lbas: Iterable[int] = ()) -> None:
-    """Run every applicable layer check in one call (the CLI ``--check``
-    entry point).  ``exempt_lbas`` is forwarded to the FTL check; pass
-    :func:`flip_affected_lbas` output when flips were injected on purpose.
+def check_stack(ftl=None, dram=None, fs=None, exempt_lbas=()) -> Dict[str, str]:
+    """Run every applicable layer check in one call; returns
+    :func:`check_fs`'s verdicts.  ``exempt_lbas`` is forwarded to the FTL
+    check (its non-flip exemptions: each check attributes flips itself).
     """
     if dram is not None:
         check_dram(dram)
     if ftl is not None:
         check_ftl(ftl, exempt_lbas=exempt_lbas)
-    if fs is not None:
-        check_fs(fs)
+    return check_fs(fs) if fs is not None else {}

@@ -10,8 +10,9 @@ end of trace.
 
 Flips are not bugs: under a vulnerable profile the attack corrupting L2P
 entries is the simulated physics working as the paper describes.  Every
-comparison is therefore made *modulo* :func:`flip_affected_lbas` — the
-entries whose corruption is attributable to a recorded disturbance flip.
+comparison is therefore made *modulo*
+:meth:`~repro.ftl.ftl.PageMappingFtl.flip_affected_lbas` — the entries
+whose corruption is attributable to a recorded disturbance flip.
 A wrong answer on any other LBA is a real divergence.  The same logic
 extends to the fault-injection plane: LBAs whose payload an injected
 retention flip corrupted, and commands an injected media error failed,
@@ -61,7 +62,6 @@ from repro.testkit.invariants import (
     InvariantViolation,
     check_dram,
     check_ftl,
-    flip_affected_lbas,
 )
 from repro.testkit.reference import (
     DisturbanceAccumulator,
@@ -626,16 +626,15 @@ class DifferentialOracle:
 
     # -- state comparison -----------------------------------------------
 
-    def exempt_lbas(self) -> FrozenSet[int]:
-        """LBAs excused from agreement: a recorded disturbance flip hit
-        their L2P entry, a flip tainted their staged payload, or an
-        injected retention fault corrupted their page on flash."""
-        exempt: Set[int] = set(flip_affected_lbas(self.ftl))
-        exempt |= self._buffer_taint
+    def _non_flip_exempt_lbas(self) -> Set[int]:
+        """Exemptions besides L2P flips: buffer-tainted payloads, retention faults."""
         injector = self.ftl.flash.injector
-        if injector is not None:
-            exempt.update(injector.affected_lbas())
-        return frozenset(exempt)
+        return self._buffer_taint.union(injector.affected_lbas() if injector else ())
+
+    def exempt_lbas(self) -> FrozenSet[int]:
+        """LBAs excused from agreement: the FTL attributes their L2P entry
+        to a recorded disturbance flip, or a non-flip exemption holds."""
+        return self.ftl.flip_affected_lbas() | self._non_flip_exempt_lbas()
 
     def checkpoint(self, index: Optional[int]) -> List[Divergence]:
         """Full-state comparison: invariants, mapped-set agreement, the
@@ -643,7 +642,7 @@ class DifferentialOracle:
         exempt = self.exempt_lbas()
         try:
             check_dram(self.dram)
-            check_ftl(self.ftl, exempt_lbas=exempt)
+            check_ftl(self.ftl, exempt_lbas=self._non_flip_exempt_lbas())
         except InvariantViolation as violation:
             self._report(index, "invariant", str(violation))
 

@@ -237,3 +237,54 @@ class TestCommittedSweepSpecs:
         assert len(results) == 8
         assert all(result["ok"] for result in results)
         assert all(result["divergences"] == 0 for result in results)
+
+
+
+#: Committed inputs a dedicated test already runs as committed -> that test.
+RUN_BY = {
+    "fault_grid.json": "TestCommittedSweepSpecs",
+    "payload_pattern_grid.json": "TestPayloadExamples",
+    "serve_chaos.json": "test_serve_resilience.TestChaosDeterminism",
+    "serve_chaos_grid.json": "TestCommittedSweepSpecs",
+    "serve_fig2_16tenants.json": "TestServeSpecs",
+    "serve_noisy_neighbor.json": "TestServeSpecs",
+    "serve_smoke.json": "TestServeSpecs",
+    "utrr_grid.json": "TestCommittedSweepSpecs",
+}
+COMMITTED_INPUTS = sorted(os.listdir(os.path.join(EXAMPLES_DIR, "specs"))) + sorted(
+    os.listdir(os.path.join(EXAMPLES_DIR, "payloads"))
+)
+
+
+class TestEveryCommittedInput:
+    """Every committed spec and payload runs to completion as committed,
+    through the CLI command CI uses.  A file a dedicated test already runs
+    is named in ``RUN_BY`` and not run twice; every other file is run here,
+    so a newly committed input cannot go unrun."""
+
+    def test_run_by_names_committed_files(self):
+        assert set(RUN_BY) <= set(COMMITTED_INPUTS)
+
+    @pytest.mark.parametrize(
+        "name", [name for name in COMMITTED_INPUTS if name not in RUN_BY]
+    )
+    def test_runs_as_committed(self, name, tmp_path, capsys):
+        import json
+
+        from repro.__main__ import main
+
+        if name.endswith(".payload"):
+            path = os.path.join(EXAMPLES_DIR, "payloads", name)
+            argv = ["--seed", "13", "payload", "run", path, "--json"]
+        else:
+            path = os.path.join(EXAMPLES_DIR, "specs", name)
+            with open(path) as handle:
+                is_scenario = "tenants" in json.load(handle)
+            argv = (
+                ["serve", path, "--json"]
+                if is_scenario
+                else ["sweep", path, "--fresh", "--workers", "0",
+                      "--out", str(tmp_path / "out.jsonl")]
+            )
+        assert main(argv) == 0
+        assert capsys.readouterr().out

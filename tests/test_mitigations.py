@@ -193,6 +193,18 @@ class TestEvaluationHarness:
         assert not outcome.mitigated
         assert outcome.flips > 0
 
+    def test_empty_leak_is_not_plaintext(self):
+        # At this seed the attack only reads back an all-zero block, which
+        # it classifies as "empty": nothing escaped, so the grader agrees.
+        builder = standard_mitigations()["baseline (no defense)"]
+        outcome = evaluate_mitigation(
+            "baseline", builder, seed=1098042781,
+            attack_config=AttackConfig(max_cycles=6, spray_files=64, hammer_seconds=60),
+        )
+        assert outcome.usable_leaks == 1 and not outcome.any_leak
+        assert outcome.plaintext_leaks == 0
+        assert outcome.mitigated
+
     def test_cache_mitigates(self):
         builder = standard_mitigations()["ftl-cpu-cache (LRU)"]
         outcome = evaluate_mitigation("cache", builder, seed=7, attack_config=self.QUICK)

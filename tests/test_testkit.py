@@ -5,7 +5,9 @@ import pytest
 
 from repro.dram import FlipEvent
 from repro.ext4 import Credentials, Ext4Fs, ROOT
+from repro.ext4.consts import ROOT_INO
 from repro.host.blockdev import BlockDevice
+from repro.serve.resilience import DurabilityLedger
 from repro.testkit import (
     DifferentialOracle,
     DisturbanceAccumulator,
@@ -166,7 +168,7 @@ class TestFsInvariants:
 
     def test_healthy_fs_passes(self):
         fs = self.make_fs()
-        fs.check()
+        assert fs.check() == {}
 
     def test_double_claimed_block_detected(self):
         fs = self.make_fs()
@@ -180,6 +182,80 @@ class TestFsInvariants:
         with pytest.raises(InvariantViolation, match="claimed by both"):
             fs.check()
 
+    @staticmethod
+    def redirect(fs, block, ppa, record_flip):
+        """Point the L2P entry behind filesystem ``block`` at ``ppa``,
+        recording the DRAM flip that did it only when asked."""
+        lba = fs.device.namespace.translate(block)
+        ftl = fs.device.controller.ftl
+        ftl.l2p.update(lba, ppa)
+        if record_flip:
+            dram = ftl.memory.dram
+            coords = dram.mapping.locate(ftl.l2p.entry_address(lba) + 3)
+            dram.flips.append(
+                FlipEvent(
+                    time=0.0, bank=coords.bank, row=coords.row,
+                    byte_offset=coords.column, bit=7, flips_to=1,
+                    old_byte=0, new_byte=0x80,
+                )
+            )
+
+    def redirect_block_map(self, fs, target, record_flip):
+        """Redirect /big's indirect block off the flash array (reads return
+        erased 0xFF pointers) or onto /twin's (valid pointers to blocks
+        /twin owns)."""
+        layouts = {}
+        for path in ("/big", "/twin"):
+            fs.create(path, ALICE, addressing="indirect")
+            fs.write(path, b"x" * (14 * fs.block_bytes), ALICE)
+            layouts[path] = fs.file_layout(path, ROOT).indirect_block
+        ftl = fs.device.controller.ftl
+        ppa = {
+            path: ftl.l2p.lookup(fs.device.namespace.translate(block))
+            for path, block in layouts.items()
+        }
+        target_ppa = ppa["/twin"] if target == "in-array" else ppa["/big"] | 1 << 31
+        self.redirect(fs, layouts["/big"], target_ppa, record_flip)
+
+    @pytest.mark.parametrize("target", ["off-array", "in-array"])
+    def test_block_map_read_through_a_flip_is_attack_redirected(self, target):
+        fs = self.make_fs()
+        self.redirect_block_map(fs, target, record_flip=True)
+        assert fs.check() == {"/big": "attack_redirected"}
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [("off-array", "corrupt block map"), ("in-array", "claimed by both")],
+    )
+    def test_same_redirect_without_a_flip_is_a_violation(self, target, message):
+        fs = self.make_fs()
+        self.redirect_block_map(fs, target, record_flip=False)
+        with pytest.raises(InvariantViolation, match=message):
+            fs.check()
+
+    @pytest.mark.parametrize("record_flip", [True, False])
+    def test_damage_written_through_a_past_redirect(self, record_flip):
+        # The root's inode-table block is redirected onto a file's data
+        # page; an inode update read-modify-writes it, so the foreign bytes
+        # persist under a fresh, correct entry.  Only a recorded flip
+        # excuses the broken root afterwards.
+        fs = self.make_fs()
+        ino = fs._resolve("/home/a.txt", ROOT)
+        inode = fs._read_inode(ino)
+        table_block = fs._inode_location(ROOT_INO)[0]
+        data_lba = fs.device.namespace.translate(
+            fs.file_layout("/home/a.txt", ROOT).data_blocks[0]
+        )
+        ftl = fs.device.controller.ftl
+        self.redirect(fs, table_block, ftl.l2p.lookup(data_lba), record_flip)
+        fs._write_inode(ino, inode)
+        assert not ftl.flip_redirected_lbas()
+        if record_flip:
+            assert fs.check() == {"/": "attack_redirected"}
+        else:
+            with pytest.raises(InvariantViolation, match=r"\(/\) unreadable"):
+                fs.check()
+
     def test_unallocated_block_detected(self):
         fs = self.make_fs()
         block = fs.file_layout("/home/a.txt", ROOT).data_blocks[0]
@@ -189,21 +265,59 @@ class TestFsInvariants:
 
 
 class TestFlipAttribution:
-    def test_l2p_flip_maps_back_to_lba(self):
-        # 1024 entries span 4 DRAM rows, so a double-sided hammer on the
-        # table region flips entries attributable to specific LBAs.
+    @staticmethod
+    def hammered_stack():
+        """1024 entries span 4 DRAM rows, so a double-sided hammer on the
+        table region flips entries attributable to specific LBAs.  Every
+        third LBA is acked with its own payload, recorded in a ledger."""
         trace = Trace(seed=11, num_lbas=1024, layout="linear", profile="fragile")
         controller, dram, ftl = build_stack_for(trace)
+        ledger = DurabilityLedger()
         for lba in range(0, 1024, 3):
-            controller.write(NSID, lba, b"\x11" * ftl.page_bytes)
+            data = payload_for(lba, 0x11, ftl.page_bytes)
+            controller.write(NSID, lba, data)
+            ledger.record_write(lba, data)
         controller.read_burst(NSID, list(range(0, 1024, 64)), repeats=4000)
+        return dram, ftl, ledger
+
+    def test_l2p_flip_maps_back_to_lba(self):
+        dram, ftl, _ledger = self.hammered_stack()
         assert dram.flips, "fragile profile did not flip under hammering"
         affected = flip_affected_lbas(ftl)
         assert affected, "no flip landed in the L2P table region"
         for lba in affected:
             assert 0 <= lba < ftl.num_lbas
-        # The invariant layer accepts the stack once those LBAs are exempt.
-        ftl.check(exempt_lbas=affected)
+        # The invariant layer attributes those LBAs itself.
+        ftl.check()
+
+    def test_in_array_redirect_audits_as_hammer_redirected(self):
+        _dram, ftl, ledger = self.hammered_stack()
+        # A recorded flip points an acked LBA's entry at another LBA's
+        # valid page: the attack's information leak, not a lost write.
+        in_array = [
+            lba
+            for lba in flip_affected_lbas(ftl)
+            if lba in ledger.history
+            and ftl.reverse.get(ftl.l2p.peek(lba)) not in (None, lba)
+        ]
+        assert in_array, "no flip redirected an acked LBA onto a valid page"
+        audit = ledger.audit(ftl)
+        assert audit["lost"] == 0
+        assert audit["hammer_redirected"] >= len(in_array)
+
+    def test_unattributed_in_array_redirect_stays_a_loss(self):
+        _c, _d, ftl = build_stack()
+        ledger = DurabilityLedger()
+        for lba in (3, 4):
+            data = payload_for(lba, 0x33, ftl.page_bytes)
+            ftl.write(lba, data)
+            ledger.record_write(lba, data)
+        # Hand-edited onto LBA 4's page: no flip event to blame.
+        ftl.l2p.update(3, ftl.l2p.lookup(4))
+        audit = ledger.audit(ftl)
+        assert (audit["lost"], audit["hammer_redirected"]) == (1, 0)
+        with pytest.raises(InvariantViolation, match="LBA 3"):
+            ftl.check()
 
     def test_hashed_layout_attribution_roundtrips(self):
         _c, _d, ftl = build_stack(num_lbas=1024, layout="hashed")
