@@ -37,6 +37,12 @@ class CacheMode(enum.Enum):
     LRU = "lru"
 
 
+#: An enum member lookup costs several times a module global, so the
+#: per-access paths compare against these.
+_LRU = CacheMode.LRU
+_FLUSH_EACH = CacheMode.INVALIDATE_EACH_ACCESS
+
+
 class FtlCpuCache:
     """A small set-associative, write-through cache over a DramModule.
 
@@ -76,24 +82,22 @@ class FtlCpuCache:
 
     def read(self, phys_addr: int, length: int) -> bytes:
         """Read through the cache; only misses reach (and hammer) DRAM."""
-        if self.mode is CacheMode.NONE:
-            return self.dram.read(phys_addr, length)
-        if self.mode is CacheMode.INVALIDATE_EACH_ACCESS:
+        mode = self.mode
+        if mode is _LRU:
+            return self._read_lru(phys_addr, length)
+        # Flushing an empty cache is a no-op, and only LRU fills it.
+        if mode is _FLUSH_EACH and self._sets:
             self.invalidate_all()
-            return self.dram.read(phys_addr, length)
-        return self._read_lru(phys_addr, length)
+        return self.dram.read(phys_addr, length)
 
     def write(self, phys_addr: int, data: bytes) -> None:
         """Write-through: DRAM is always updated; cached lines refreshed."""
-        if self.mode is CacheMode.NONE:
-            self.dram.write(phys_addr, data)
-            return
-        if self.mode is CacheMode.INVALIDATE_EACH_ACCESS:
+        mode = self.mode
+        if mode is _FLUSH_EACH and self._sets:
             self.invalidate_all()
-            self.dram.write(phys_addr, data)
-            return
         self.dram.write(phys_addr, data)
-        self._update_cached_lines(phys_addr, data)
+        if mode is _LRU:
+            self._update_cached_lines(phys_addr, data)
 
     def read_many(self, phys_addrs, length: int) -> np.ndarray:
         """Bulk read: ``length`` bytes at each address, as ``(n, length)``.

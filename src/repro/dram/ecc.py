@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.errors import EccUncorrectableError
 
 #: Decode outcomes.
@@ -130,32 +128,43 @@ class SecdedCodec:
             "double-bit error detected (syndrome 0x%02x)" % syndrome
         )
 
-    # -- array helpers (row-granularity writes) ----------------------------
+    # -- word buffers (the few words one access touches) ---------------------
 
-    def encode_words(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`encode` over a uint64 array (returns uint8)."""
-        flat = np.ascontiguousarray(words, dtype=np.uint64).reshape(-1)
-        index = flat.view(np.uint8).reshape(-1, 8) + _BYTE_BASE
-        return np.bitwise_xor.reduce(_word_table()[index], axis=1).reshape(np.shape(words))
+    def encode_bytes(self, raw: bytes) -> bytes:
+        """:meth:`encode` over whole words given as memory bytes (a DRAM
+        row's byte order): one check byte per word of ``raw``."""
+        t0, t1, t2, t3, t4, t5, t6, t7 = _byte_tables()
+        return bytes(
+            [
+                t0[raw[i]] ^ t1[raw[i + 1]] ^ t2[raw[i + 2]] ^ t3[raw[i + 3]]
+                ^ t4[raw[i + 4]] ^ t5[raw[i + 5]] ^ t6[raw[i + 6]] ^ t7[raw[i + 7]]
+                for i in range(0, len(raw), 8)
+            ]
+        )
 
-
-#: Word-table row of each byte of a word as it lies in memory.
-_BYTE_BASE = np.arange(8, dtype=np.intp) * 256
+    def correct_bytes(self, raw: bytes, stored: bytes, corrected) -> bytes:
+        """:meth:`decode` every word of ``raw`` whose encoding differs from
+        its ``stored`` check byte, in word order, and return the corrected
+        bytes.  ``corrected`` (a counter) is bumped per corrected word, so
+        an uncorrectable word raises after the earlier ones are counted."""
+        out = bytearray(raw)
+        for i, check in enumerate(self.encode_bytes(raw)):
+            if check != stored[i]:
+                word = int.from_bytes(raw[i * 8 : i * 8 + 8], sys.byteorder)
+                fixed = self.decode(word, stored[i]).data
+                out[i * 8 : i * 8 + 8] = fixed.to_bytes(8, sys.byteorder)
+                corrected.add()
+        return bytes(out)
 
 
 @functools.lru_cache(maxsize=None)
-def _word_table() -> np.ndarray:
+def _byte_tables() -> Tuple[List[int], ...]:
     """Check-byte contribution of byte ``v`` at memory offset ``i`` of a
-    word, flattened to ``i * 256 + v`` and read-only.
+    word, as ``tables[i][v]``; built on first use, never at import.
 
     The check byte is GF(2)-linear in the data word, so it is the XOR of
     the codes of the word's 8 bytes, each encoded alone in its place.
     """
     encode = SecdedCodec().encode
     shifts = range(0, 64, 8) if sys.byteorder == "little" else range(56, -8, -8)
-    table = np.array(
-        [encode(value << shift) for shift in shifts for value in range(256)],
-        dtype=np.uint8,
-    )
-    table.setflags(write=False)
-    return table
+    return tuple([encode(value << shift) for value in range(256)] for shift in shifts)

@@ -201,21 +201,8 @@ class XorBankMapping(AddressMapping):
 
     name = "xor-bank"
 
-    def _field_to_row(self, field: int) -> int:
-        bits = self.geometry.row_bits
-        if bits <= 1:
-            return field
-        msb = (field >> (bits - 1)) & 1
-        rotated = ((field << 1) & ((1 << bits) - 1)) | msb
-        # Imperfect interleaving: real parts do not alternate perfectly, so
-        # XOR bit 2 into the LSB (an involution on the rotated value) to
-        # leave some same-half adjacencies alongside the cross-half ones.
-        if bits > 2:
-            rotated ^= (rotated >> 2) & 1
-        return rotated
-
     def _row_to_field(self, row: int) -> int:
-        bits = self.geometry.row_bits
+        bits = self._row_bits
         if bits <= 1:
             return row
         rotated = row
@@ -229,13 +216,21 @@ class XorBankMapping(AddressMapping):
 
     def locate3(self, phys_addr: int) -> Tuple[int, int, int]:
         self._check_addr(phys_addr)
-        column = phys_addr & self._col_mask
         rest = phys_addr >> self._col_bits
         bank_field = rest & self._bank_mask
         row_field = rest >> self._bank_bits
-        row = self._field_to_row(row_field)
-        bank = bank_field ^ (row_field & self._bank_mask)
-        return bank, row, column
+        bits = self._row_bits
+        if bits <= 1:
+            row = row_field
+        else:
+            row = ((row_field << 1) & self._row_mask) | (row_field >> (bits - 1))
+            # Imperfect interleaving: real parts do not alternate perfectly,
+            # so XOR bit 2 into the LSB (an involution on the rotated value)
+            # to leave some same-half adjacencies alongside the cross-half
+            # ones.
+            if bits > 2:
+                row ^= (row >> 2) & 1
+        return bank_field ^ (row_field & self._bank_mask), row, phys_addr & self._col_mask
 
     def locate_many(self, phys_addrs):
         phys_addrs = np.asarray(phys_addrs, dtype=np.int64)

@@ -48,6 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dram.address import DramAddress
 from repro.dram.bank import Bank, CLOSED_PAGE, OPEN_PAGE
 from repro.dram.ecc import SecdedCodec
 from repro.dram.geometry import DramGeometry
@@ -61,6 +62,7 @@ from repro.sim.metrics import MetricRegistry
 from repro.units import ms
 
 _INF = float("inf")
+_WORD = SecdedCodec.word_bytes
 _MISSING = object()
 
 
@@ -311,60 +313,72 @@ class DramModule:
         self._ecc_uncorrectable = self.metrics.counter("ecc_uncorrectable")
 
     # ------------------------------------------------------------------
-    # address plumbing
+    # exact access path
     # ------------------------------------------------------------------
 
-    def _segments(self, phys_addr: int, length: int) -> Iterable[Tuple[int, int, int, int]]:
-        """Split a byte span into per-row segments (bank, row, column, len)."""
+    def _check_span(self, phys_addr: int, length: int) -> None:
+        """Raise DramAddressError unless the span lies inside the module."""
         if length < 0:
             raise DramAddressError("negative length")
         if phys_addr < 0 or phys_addr + length > self._capacity:
             raise DramAddressError(
                 "span [0x%x, 0x%x) exceeds module" % (phys_addr, phys_addr + length)
             )
-        offset = phys_addr
-        remaining = length
-        while remaining > 0:
-            coords = self.mapping.locate(offset)
-            chunk = min(remaining, self._row_bytes - coords.column)
-            yield coords.bank, coords.row, coords.column, chunk
-            offset += chunk
-            remaining -= chunk
-
-    # ------------------------------------------------------------------
-    # exact access path
-    # ------------------------------------------------------------------
 
     def read(self, phys_addr: int, length: int) -> bytes:
         """Read bytes; activates rows and may observe/correct flips."""
-        self._reads.add()
+        self._reads.value += 1
         if self.tracer is not None:
             self.tracer.emit("dram.access", op="r", count=1, addr=phys_addr, len=length)
-        out = bytearray()
-        for bank_idx, row, column, chunk in self._segments(phys_addr, length):
+        self._check_span(phys_addr, length)
+        out = b""
+        while length > 0:  # one pass per row the span covers
+            bank_idx, row, column = self.mapping.locate3(phys_addr)
+            chunk = self._row_bytes - column
+            if chunk > length:
+                chunk = length
             self._touch(bank_idx, row)
             bank = self.banks[bank_idx]
             if self.ecc_enabled:
                 out += self._read_ecc(bank, row, column, chunk)
             else:
-                out += bank.read(row, column, chunk).tobytes()
-        return bytes(out)
+                array = bank.data_rows.get(row)
+                out += bytes(chunk) if array is None else array[column : column + chunk].tobytes()
+            phys_addr += chunk
+            length -= chunk
+        return out
 
     def write(self, phys_addr: int, data: bytes) -> None:
         """Write bytes; activates rows; refreshes any pending flips away."""
-        self._writes.add()
+        self._writes.value += 1
+        data = bytes(data)
+        length = len(data)
         if self.tracer is not None:
-            self.tracer.emit("dram.access", op="w", count=1, addr=phys_addr, len=len(data))
-        view = np.frombuffer(bytes(data), dtype=np.uint8)
+            self.tracer.emit("dram.access", op="w", count=1, addr=phys_addr, len=length)
+        self._check_span(phys_addr, length)
         consumed = 0
-        for bank_idx, row, column, chunk in self._segments(phys_addr, len(view)):
+        while consumed < length:
+            bank_idx, row, column = self.mapping.locate3(phys_addr + consumed)
+            chunk = self._row_bytes - column
+            if chunk > length - consumed:
+                chunk = length - consumed
             self._touch(bank_idx, row)
             bank = self.banks[bank_idx]
-            piece = view[consumed : consumed + chunk]
-            bank.write(row, column, piece)
+            stored = bank._data(row, allocate=True)
+            stored.data[column : column + chunk] = data[consumed : consumed + chunk]
             if self.ecc_enabled:
                 self._update_check_bytes(bank, row, column, chunk)
             consumed += chunk
+
+    def _ecc_words(self, bank: Bank, row: int, column: int, length: int):
+        """The whole words a span touches as stored bytes, their check
+        bytes (the row's check region is allocated on first use) and the
+        span's offset into them."""
+        first, end = column // _WORD, -(-(column + length) // _WORD)
+        array = bank.data_rows.get(row)
+        raw = (bytes((end - first) * _WORD) if array is None
+               else array[first * _WORD : end * _WORD].tobytes())
+        return raw, bank.check_bytes(row, allocate=True)[first:end], column - first * _WORD
 
     def _read_ecc(self, bank: Bank, row: int, column: int, length: int) -> bytes:
         """Word-granular verified read; corrects single-bit flips.
@@ -373,30 +387,16 @@ class DramModule:
         are decoded (the others decode clean), in word order, so the first
         uncorrectable word raises after every earlier correction is
         counted."""
-        codec = self.codec
-        word_bytes = codec.word_bytes
-        first_word = column // word_bytes
-        last_word = (column + length - 1) // word_bytes
-        check = bank.check_bytes(row, allocate=True)
-        raw = bank.read(row, first_word * word_bytes, (last_word - first_word + 1) * word_bytes)
-        words = raw.view(np.uint64)
-        stored = check[first_word : last_word + 1]
-        for i in np.flatnonzero(codec.encode_words(words) != stored).tolist():
-            words[i] = codec.decode(int(words[i]), int(stored[i])).data
-            self._ecc_corrected.add()
-        start = column - first_word * word_bytes
-        return raw[start : start + length].tobytes()
+        raw, check, start = self._ecc_words(bank, row, column, length)
+        stored = check.tobytes()
+        if self.codec.encode_bytes(raw) != stored:
+            raw = self.codec.correct_bytes(raw, stored, self._ecc_corrected)
+        return raw[start : start + length]
 
     def _update_check_bytes(self, bank: Bank, row: int, column: int, length: int) -> None:
         """Recompute check bytes for every word a write touched."""
-        codec = self.codec
-        word_bytes = codec.word_bytes
-        first_word = column // word_bytes
-        last_word = (column + length - 1) // word_bytes
-        raw = bank.read(row, first_word * word_bytes, (last_word - first_word + 1) * word_bytes)
-        words = raw.view(np.uint64)
-        check = bank.check_bytes(row, allocate=True)
-        check[first_word : last_word + 1] = codec.encode_words(words)
+        raw, check, _start = self._ecc_words(bank, row, column, length)
+        check[:] = np.frombuffer(self.codec.encode_bytes(raw), dtype=np.uint8)
 
     # ------------------------------------------------------------------
     # activation & disturbance
@@ -1311,14 +1311,16 @@ class DramModule:
         not applied either — ``inspect`` sees exactly what a refresh-
         preserving probe would.
         """
-        out = bytearray()
-        for bank_idx, row, column, chunk in self._segments(phys_addr, length):
+        self._check_span(phys_addr, length)
+        out = b""
+        while length > 0:
+            bank_idx, row, column = self.mapping.locate3(phys_addr)
+            chunk = min(length, self._row_bytes - column)
             array = self.banks[bank_idx].data_rows.get(row)
-            if array is None:
-                out += b"\x00" * chunk
-            else:
-                out += array[column : column + chunk].tobytes()
-        return bytes(out)
+            out += bytes(chunk) if array is None else array[column : column + chunk].tobytes()
+            phys_addr += chunk
+            length -= chunk
+        return out
 
     def check(self) -> None:
         """Verify the module's internal invariants (refresh-window
@@ -1336,12 +1338,9 @@ class DramModule:
     def flipped_addresses(self, events: Optional[Iterable[FlipEvent]] = None) -> List[int]:
         """Physical byte addresses corrupted by the given flips (data region
         only; check-region flips have no physical byte address)."""
-        out = []
-        for event in events if events is not None else self.flips:
-            if event.byte_offset >= self.geometry.row_bytes:
-                continue
-            from repro.dram.address import DramAddress
-
-            coords = DramAddress(event.bank, event.row, event.byte_offset)
-            out.append(self.mapping.address_of(coords))
-        return out
+        row_bytes, address_of = self._row_bytes, self.mapping.address_of
+        return [
+            address_of(DramAddress(event.bank, event.row, event.byte_offset))
+            for event in (events if events is not None else self.flips)
+            if event.byte_offset < row_bytes
+        ]

@@ -50,14 +50,23 @@ class FlashArray:
             )
             for i in range(geometry.total_chips)
         ]
+        self._total_pages = geometry.total_pages
+        self._pages_per_block = geometry.pages_per_block
+        self._blocks_per_chip = geometry.planes_per_chip * geometry.blocks_per_plane
 
     # -- addressing -----------------------------------------------------------
 
     def _chip_block_page(self, ppa: int) -> Tuple[FlashChip, int, int]:
-        coords = self.geometry.decompose(ppa)
-        chip = self.chips[coords.channel * self.geometry.chips_per_channel + coords.chip]
-        block_on_chip = coords.plane * self.geometry.blocks_per_plane + coords.block
-        return chip, block_on_chip, coords.page
+        """:meth:`FlashGeometry.decompose` folded to (chip, block on chip,
+        page): PPAs enumerate pages plane-major, so a chip's planes are one
+        contiguous run of blocks."""
+        if not 0 <= ppa < self._total_pages:
+            raise FlashAddressError(
+                "PPA %d outside array of %d pages" % (ppa, self._total_pages)
+            )
+        block, page = divmod(ppa, self._pages_per_block)
+        chip, block_on_chip = divmod(block, self._blocks_per_chip)
+        return self.chips[chip], block_on_chip, page
 
     def _chip_block(self, global_block: int) -> Tuple[FlashChip, int]:
         if not 0 <= global_block < self.geometry.total_blocks:

@@ -12,6 +12,7 @@ The hierarchy is ``channels x chips x planes x blocks x pages``.  A flat
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigError, FlashAddressError
 from repro.units import KIB
@@ -52,28 +53,32 @@ class FlashGeometry:
                 raise ConfigError("FlashGeometry.%s must be positive" % name)
 
     # -- derived sizes ----------------------------------------------------
+    # Computed once per geometry: every page operation asks for them.  A
+    # frozen dataclass without slots still has an instance dict, which is
+    # where cached_property keeps them; equality and hashing see only the
+    # fields.
 
-    @property
+    @cached_property
     def total_chips(self) -> int:
         return self.channels * self.chips_per_channel
 
-    @property
+    @cached_property
     def total_planes(self) -> int:
         return self.total_chips * self.planes_per_chip
 
-    @property
+    @cached_property
     def total_blocks(self) -> int:
         return self.total_planes * self.blocks_per_plane
 
-    @property
+    @cached_property
     def total_pages(self) -> int:
         return self.total_blocks * self.pages_per_block
 
-    @property
+    @cached_property
     def block_bytes(self) -> int:
         return self.pages_per_block * self.page_bytes
 
-    @property
+    @cached_property
     def capacity_bytes(self) -> int:
         return self.total_pages * self.page_bytes
 

@@ -147,6 +147,9 @@ class PageMappingFtl:
             )
         self.num_lbas = num_lbas
         self.page_bytes = geometry.page_bytes
+        # Fixed by the flash geometry; every command needs them.
+        self._total_pages = geometry.total_pages
+        self._pages_per_block = geometry.pages_per_block
 
         self.l2p: L2pTable = self._build_l2p(memory)
         self.l2p.initialize()
@@ -223,7 +226,7 @@ class PageMappingFtl:
         """Translate and read one logical page."""
         self._check_live()
         self._check_lba(lba)
-        self._host_reads.add()
+        self._host_reads.value += 1
         if self.write_buffer is not None and self.write_buffer.contains(lba):
             # Served straight from the DRAM staging area — including any
             # disturbance damage the staged bytes picked up.
@@ -240,7 +243,7 @@ class PageMappingFtl:
             if self.tracer is not None:
                 self.tracer.emit("ftl.read", lba=lba, mapped=False)
             return ReadResult(b"\x00" * self.page_bytes, mapped=False, flash_time=0.0)
-        if ppa >= self.flash.geometry.total_pages:
+        if ppa >= self._total_pages:
             # Only reachable through a disturbance flip into the table.
             self._oob_reads.add()
             if self.tracer is not None:
@@ -287,7 +290,7 @@ class PageMappingFtl:
             raise ConfigError(
                 "write payload must be %d bytes, got %d" % (self.page_bytes, len(data))
             )
-        self._host_writes.add()
+        self._host_writes.value += 1
         if self.write_buffer is not None:
             self.write_buffer.stage(lba, data)
             if self.tracer is not None:
@@ -307,29 +310,13 @@ class PageMappingFtl:
         return result
 
     def _write_through(self, lba: int, data: bytes) -> WriteResult:
-        """The unbuffered write path: allocate, program, remap.
-
-        A program failure (NAND status fail) is handled the way firmware
-        handles it: the open block is sealed and marked grown-bad — the
-        pages already in it stay readable until GC relocates them and
-        retires the block — and the write retries on a fresh block.
-        """
+        """The unbuffered write path: collect, program
+        (:meth:`program_fresh_page`), remap."""
         gc_stats = self._maybe_collect()
-        attempts = 0
-        while True:
-            ppa = self.allocate_page()
-            self.program_seq += 1
-            oob = PageOob(lba=lba, seq=self.program_seq)
-            try:
-                self.flash.program_page(ppa, data, oob=oob)
-                break
-            except FlashWriteFault:
-                self._on_program_failure(self.flash.geometry.block_of_ppa(ppa))
-                attempts += 1
-                if attempts >= 3:
-                    raise
+        ppa = self.program_fresh_page(lba, data)
+        block = ppa // self._pages_per_block
         self.write_sequence += 1
-        self.block_mtime[self.flash.geometry.block_of_ppa(ppa)] = self.write_sequence
+        self.block_mtime[block] = self.write_sequence
         if self.config.dif:
             from repro.ext4.crc32c import crc32c
 
@@ -337,7 +324,7 @@ class PageMappingFtl:
         self._invalidate_current(lba)
         self.l2p.update(lba, ppa)
         self.reverse[ppa] = lba
-        self.valid_count[self.flash.geometry.block_of_ppa(ppa)] += 1
+        self.valid_count[block] += 1
         flash_time = self.flash.timing.program_page
         if gc_stats is not None:
             flash_time += gc_stats.flash_time
@@ -439,7 +426,7 @@ class PageMappingFtl:
     # allocation & GC plumbing (used by the collector too)
     # ------------------------------------------------------------------
 
-    def allocate_page(self, during_gc: bool = False) -> int:
+    def allocate_page(self) -> int:
         """Next page of the open block, opening a fresh block as needed.
 
         Worn-out (bad) blocks in the free pool are retired on sight, the
@@ -449,6 +436,7 @@ class PageMappingFtl:
         if self._open_block is None or self._next_page >= geometry.pages_per_block:
             if self._open_block is not None:
                 self._sealed.append(self._open_block)
+                self._open_block = None  # sealed once, even if no block is free
             while True:
                 if not self.free_blocks:
                     raise FtlCapacityError("no free blocks left")
@@ -461,6 +449,32 @@ class PageMappingFtl:
         ppa = geometry.first_ppa_of_block(self._open_block) + self._next_page
         self._next_page += 1
         return ppa
+
+    def program_fresh_page(self, lba: int, data: bytes) -> int:
+        """Program ``data`` for ``lba`` on the next free page; returns its
+        PPA.  Host writes and GC relocations both write through here.
+
+        A program failure (NAND status fail) is handled the way firmware
+        handles it: the open block is sealed and marked grown-bad — the
+        pages already in it stay readable until GC relocates them and
+        retires the block — and the program retries on a fresh block, up
+        to three attempts in all.  Every attempt stamps a fresh OOB
+        sequence number.
+        """
+        attempts = 0
+        while True:
+            ppa = self.allocate_page()
+            self.program_seq += 1
+            try:
+                self.flash.program_page(
+                    ppa, data, oob=PageOob(lba=lba, seq=self.program_seq)
+                )
+                return ppa
+            except FlashWriteFault:
+                self._on_program_failure(ppa // self._pages_per_block)
+                attempts += 1
+                if attempts >= 3:
+                    raise
 
     def sealed_blocks(self) -> List[int]:
         """Blocks eligible as GC victims (full, not open, not free)."""
@@ -531,11 +545,11 @@ class PageMappingFtl:
     def _invalidate_current(self, lba: int) -> None:
         """Drop the previous translation of ``lba``, if any."""
         old = self.l2p.lookup(lba)
-        if old is None or old >= self.flash.geometry.total_pages:
+        if old is None or old >= self._total_pages:
             return
         if self.reverse.get(old) == lba:
             del self.reverse[old]
-            self.valid_count[self.flash.geometry.block_of_ppa(old)] -= 1
+            self.valid_count[old // self._pages_per_block] -= 1
 
     def _check_lba(self, lba: int) -> None:
         if not 0 <= lba < self.num_lbas:

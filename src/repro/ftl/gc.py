@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.errors import FlashEraseError
-from repro.flash.block import PageOob
 
 
 @dataclass
@@ -72,14 +71,12 @@ class GreedyGarbageCollector:
                 continue
             data = ftl.flash.read_page(ppa)
             stats.flash_time += timing.read_page
-            new_ppa = ftl.allocate_page(during_gc=True)
             # Moved copies get a *fresh* OOB sequence number: if power is
             # lost before the victim is erased, recovery sees both copies
-            # and must prefer the relocation (highest sequence wins).
-            ftl.program_seq += 1
-            ftl.flash.program_page(
-                new_ppa, data, oob=PageOob(lba=lba, seq=ftl.program_seq)
-            )
+            # and must prefer the relocation (highest sequence wins).  A
+            # program fault seals the open block and retries on a fresh
+            # one, exactly as for a host write.
+            new_ppa = ftl.program_fresh_page(lba, data)
             stats.flash_time += timing.program_page
             if ppa in ftl.dif_tags:
                 # The protection-information bytes travel with the data.

@@ -42,9 +42,18 @@ class StatusCode(enum.Enum):
     #: The namespace is write-protected: the device degraded to read-only
     #: after exhausting its spare-block pool.
     READ_ONLY = "namespace-write-protected"
+    #: The FTL had no free block left to program into: grown bad blocks
+    #: ate the over-provisioning and garbage collection reclaimed nothing
+    #: (NVMe "Capacity Exceeded").
+    CAPACITY_EXCEEDED = "capacity-exceeded"
 
 
 _command_ids = itertools.count(1)
+
+#: An enum member lookup costs several times a module global, so the
+#: checks made on every command compare against these.
+_WRITE = Opcode.WRITE
+_SUCCESS = StatusCode.SUCCESS
 
 
 @dataclass
@@ -58,7 +67,7 @@ class NvmeCommand:
     command_id: int = field(default_factory=lambda: next(_command_ids))
 
     def __post_init__(self) -> None:
-        if self.opcode is Opcode.WRITE and self.data is None:
+        if self.opcode is _WRITE and self.data is None:
             raise ValueError("WRITE command needs a data payload")
 
 
@@ -74,4 +83,4 @@ class NvmeCompletion:
 
     @property
     def ok(self) -> bool:
-        return self.status is StatusCode.SUCCESS
+        return self.status is _SUCCESS

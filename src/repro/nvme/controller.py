@@ -41,6 +41,7 @@ from repro.errors import (
     FlashError,
     FlashReadError,
     FlashWriteFault,
+    FtlCapacityError,
     FtlReadOnlyError,
     FtlRecoveryError,
     NvmeNamespaceError,
@@ -55,6 +56,13 @@ from repro.sim.clock import SimClock
 from repro.sim.metrics import MetricRegistry, merge_snapshots
 from repro.units import us
 
+
+#: An enum member lookup costs several times a module global, so the
+#: per-command path compares against these.
+_READ, _WRITE, _DEALLOCATE, _FLUSH = (
+    Opcode.READ, Opcode.WRITE, Opcode.DEALLOCATE, Opcode.FLUSH
+)
+_SUCCESS = StatusCode.SUCCESS
 
 #: Below this many LBAs the scalar translation loop beats numpy setup
 #: (hammer bursts typically name a handful of aggressors; spray/trim
@@ -149,6 +157,8 @@ class NvmeController:
         self._base_time = timing.base_command_time
         self._parallelism = timing.flash_parallelism
         self._read_page_time = ftl.flash.timing.read_page
+        #: The DRAM activation counter, read before and after each command.
+        self._dram_activations = ftl.memory.dram.metrics.counter("activations")
         #: Burst setup cache: (nsid, lbas) -> (device_lbas, entry_addrs,
         #: activation pattern as tuple (hammer-plan key) and as list
         #: (result field), pattern-has-multiple-rows).  All are pure
@@ -253,7 +263,7 @@ class NvmeController:
             if delay:
                 self.clock.advance(delay)
 
-        activations_before = self._dram_activations()
+        activations_before = self._dram_activations.value
         try:
             data, flash_time = self._execute(command, device_lba)
         except EccUncorrectableError:
@@ -279,14 +289,16 @@ class NvmeController:
             return self._fail(command, StatusCode.RECOVERY_ERROR, delay)
         except FtlReadOnlyError:
             return self._fail(command, StatusCode.READ_ONLY, delay)
+        except FtlCapacityError:
+            return self._fail(command, StatusCode.CAPACITY_EXCEEDED, delay)
 
-        cost = self.timing.base_command_time + flash_time / self.timing.flash_parallelism
+        cost = self._base_time + flash_time / self._parallelism
         if self.timing.row_miss_penalty:
-            misses = self._dram_activations() - activations_before
+            misses = self._dram_activations.value - activations_before
             cost += self.timing.row_miss_penalty * misses
         self.clock.advance(cost)
         return NvmeCompletion(
-            command.command_id, StatusCode.SUCCESS, data=data, latency=cost + delay
+            command.command_id, _SUCCESS, data=data, latency=cost + delay
         )
 
     def _fail(self, command: NvmeCommand, status: StatusCode, delay: float) -> NvmeCompletion:
@@ -297,22 +309,20 @@ class NvmeController:
         self.clock.advance(cost)
         return NvmeCompletion(command.command_id, status, latency=cost + delay)
 
-    def _dram_activations(self) -> int:
-        return self.ftl.memory.dram.metrics.counter("activations").value
-
     def _execute(self, command: NvmeCommand, device_lba: int):
-        if command.opcode is Opcode.READ:
+        opcode = command.opcode
+        if opcode is _READ:
             result = self.ftl.read(device_lba)
             if result.integrity_error:
                 raise _DifFailure(result.flash_time)
             return result.data, result.flash_time
-        if command.opcode is Opcode.WRITE:
+        if opcode is _WRITE:
             result = self.ftl.write(device_lba, command.data)
             return None, result.flash_time
-        if command.opcode is Opcode.DEALLOCATE:
+        if opcode is _DEALLOCATE:
             self.ftl.trim(device_lba)
             return None, 0.0
-        if command.opcode is Opcode.FLUSH:
+        if opcode is _FLUSH:
             return None, self.ftl.flush()
         raise NvmeNamespaceError("unsupported opcode %r" % command.opcode)
 
@@ -627,10 +637,10 @@ class NvmeController:
         for position, (device_lba, data) in enumerate(zip(device_lbas, payloads)):
             try:
                 result = self.ftl.write(device_lba, data)
-            except (FlashError, FtlReadOnlyError):
+            except (FlashError, FtlReadOnlyError, FtlCapacityError):
                 # Each burst member is its own command: one write hitting
-                # a media fault (or a read-only device) fails alone, just
-                # as it would in a loop of submit() calls.
+                # a media fault (or a read-only or full device) fails
+                # alone, just as it would in a loop of submit() calls.
                 self._errors.add()
                 failed.append(position)
                 continue

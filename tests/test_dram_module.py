@@ -2,6 +2,8 @@
 the exact-vs-batch hammering equivalence (design decision D4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram import (
     DramAddress,
@@ -13,6 +15,7 @@ from repro.dram import (
     VulnerabilityModel,
 )
 from repro.dram.bank import CLOSED_PAGE
+from repro.dram.mapping import SequentialMapping, XorBankMapping
 from repro.errors import ConfigError, DramAddressError, EccUncorrectableError
 from repro.sim import SimClock
 
@@ -103,6 +106,91 @@ class TestAccessPath:
             dram.read(0, 4)  # same row every time
         assert dram.metrics.counter("activations").value == 5
         assert dram.metrics.counter("row_buffer_hits").value == 0
+
+
+def _span(draw_addr, draw_length):
+    """A span clipped into the module: ``(addr, length)``."""
+    addr = min(draw_addr, GEOMETRY.capacity_bytes)
+    return addr, min(draw_length, GEOMETRY.capacity_bytes - addr)
+
+
+#: Spans that start anywhere, just before a row boundary, or end on the
+#: module's last byte; up to three rows long, and sometimes empty.
+_ROW = GEOMETRY.row_bytes
+_SPANS = st.one_of(
+    st.tuples(st.integers(0, GEOMETRY.capacity_bytes), st.integers(0, 3 * _ROW)),
+    st.tuples(
+        st.integers(1, GEOMETRY.capacity_bytes // _ROW).map(lambda r: r * _ROW),
+        st.integers(0, 16),
+        st.integers(0, 3 * _ROW),
+    ).map(lambda t: (t[0] - t[1], t[2])),
+    st.integers(0, 3 * _ROW).map(lambda n: (GEOMETRY.capacity_bytes - n, n)),
+).map(lambda t: _span(*t))
+
+
+class TestScalarSpans:
+    """``read``/``write`` over arbitrary spans against a byte-array shadow
+    and an open-row model of the counters."""
+
+    @pytest.mark.parametrize("mapping", [SequentialMapping, XorBankMapping])
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), _SPANS, st.integers(0, 255)), max_size=12
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_shadow_and_counters(self, mapping, ops):
+        dram = make_module(profile=GRANITE, mapping=mapping(GEOMETRY))
+        shadow = bytearray(GEOMETRY.capacity_bytes)
+        open_rows = {}
+        expected = {"reads": 0, "writes": 0, "activations": 0, "row_buffer_hits": 0}
+        for is_write, (addr, length), fill in ops:
+            rows = []
+            for a in range(addr, addr + length):
+                coords = dram.mapping.locate(a)
+                if not rows or rows[-1] != (coords.bank, coords.row):
+                    rows.append((coords.bank, coords.row))
+            for bank, row in rows:
+                if open_rows.get(bank) == row:
+                    expected["row_buffer_hits"] += 1
+                else:
+                    open_rows[bank] = row
+                    expected["activations"] += 1
+            if is_write:
+                payload = bytes([(fill + i) & 0xFF for i in range(length)])
+                dram.write(addr, payload)
+                shadow[addr : addr + length] = payload
+                expected["writes"] += 1
+            else:
+                assert dram.read(addr, length) == bytes(shadow[addr : addr + length])
+                expected["reads"] += 1
+            assert dram.inspect(addr, length) == bytes(shadow[addr : addr + length])
+        assert {name: dram.metrics.counter(name).value for name in expected} == expected
+
+    @pytest.mark.parametrize(
+        "addr, length",
+        [
+            (-1, 4),
+            (0, -1),
+            (GEOMETRY.capacity_bytes - 3, 4),
+            (GEOMETRY.capacity_bytes, 1),
+        ],
+    )
+    def test_out_of_range_spans_raise(self, addr, length):
+        dram = make_module(profile=GRANITE)
+        with pytest.raises(DramAddressError):
+            dram.read(addr, length)
+        with pytest.raises(DramAddressError):
+            dram.inspect(addr, length)
+        if length >= 0:
+            with pytest.raises(DramAddressError):
+                dram.write(addr, b"\x01" * length)
+        assert dram.metrics.counter("activations").value == 0
+
+    def test_empty_span_at_the_end_is_valid(self):
+        dram = make_module(profile=GRANITE)
+        assert dram.read(GEOMETRY.capacity_bytes, 0) == b""
+        assert dram.metrics.counter("activations").value == 0
 
 
 class TestAccessBatch:
@@ -396,6 +484,44 @@ class TestEcc:
         bank.flip_bit(9, 0, 1, flips_to=1)
         with pytest.raises(EccUncorrectableError):
             dram.read(row_addr(dram, 0, 9), 8)
+
+    def test_single_flip_in_a_read_word_corrected_once(self):
+        dram = make_module(ecc=True, profile=GRANITE)
+        payload = bytes(range(1, 33))
+        base = row_addr(dram, 0, 9, 64)
+        dram.write(base, payload)
+        dram.banks[0].flip_bit(9, 64 + 8 + 3, 2, flips_to=((payload[11] >> 2) & 1) ^ 1)
+        # A flip in a word the read does not cover is not seen.
+        assert dram.read(base, 8) == payload[:8]
+        assert dram.metrics.counter("ecc_corrected").value == 0
+        # The read covers the flipped word: corrected, counted once.
+        assert dram.read(base + 4, 12) == payload[4:16]
+        assert dram.metrics.counter("ecc_corrected").value == 1
+        # DRAM keeps the flip; every read that covers it corrects it again.
+        assert dram.inspect(base + 11, 1) != payload[11:12]
+        assert dram.read(base, 32) == payload
+        assert dram.metrics.counter("ecc_corrected").value == 2
+
+    def test_check_bit_flip_corrected_once(self):
+        dram = make_module(ecc=True, profile=GRANITE)
+        base = row_addr(dram, 0, 9)
+        dram.write(base, b"\xa5" * 16)
+        check = dram.banks[0].check_bytes(9)
+        dram.banks[0].flip_bit(9, GEOMETRY.row_bytes + 1, 0, flips_to=(int(check[1]) & 1) ^ 1)
+        assert dram.read(base, 16) == b"\xa5" * 16
+        assert dram.metrics.counter("ecc_corrected").value == 1
+
+    def test_uncorrectable_word_raises_after_earlier_corrections(self):
+        dram = make_module(ecc=True, profile=GRANITE)
+        base = row_addr(dram, 0, 9)
+        dram.write(base, b"\x00" * 16)
+        bank = dram.banks[0]
+        bank.flip_bit(9, 1, 5, flips_to=1)  # word 0: one flip
+        bank.flip_bit(9, 8, 0, flips_to=1)  # word 1: two flips
+        bank.flip_bit(9, 12, 7, flips_to=1)
+        with pytest.raises(EccUncorrectableError):
+            dram.read(base, 16)
+        assert dram.metrics.counter("ecc_corrected").value == 1
 
     def test_clean_roundtrip_with_ecc(self):
         dram = make_module(ecc=True)

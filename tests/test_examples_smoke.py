@@ -116,6 +116,28 @@ class TestServeSpecs:
         assert durability["hammer_redirected"] > 0
         assert durability["lost"] == 0
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fig2_chaos_scenario_ends_every_command_in_a_status(self, seed):
+        """The Fig. 2 shape under the chaos fault plan: a program fault
+        during a GC relocation and a device left without free blocks end
+        in NVMe statuses, never in an exception, and no acknowledged
+        write is lost."""
+        from repro.nvme.commands import StatusCode
+        from repro.serve import ServeScenario, run_scenario
+
+        scenario = ServeScenario.load(
+            os.path.join(self.SPECS, "serve_fig2_chaos.json")
+        )
+        report = run_scenario(scenario, seed=seed)
+        statuses = {status.name for status in StatusCode}
+        for tenant, config in zip(report.tenants, scenario.tenants):
+            assert tenant["commands"] == config.ops
+            assert set(tenant["errors_by_status"]) <= statuses
+            assert sum(tenant["errors_by_status"].values()) == tenant["errors"]
+        resilience = report.resilience
+        assert resilience["faults"]["program_fail"] > 0
+        assert resilience["durability"]["lost"] == 0
+
     def test_noisy_neighbor_sweep_shows_rate_limit_trade_off(self, tmp_path):
         from repro.engine import SweepSpec, run_sweep
 
@@ -247,6 +269,7 @@ RUN_BY = {
     "serve_chaos.json": "test_serve_resilience.TestChaosDeterminism",
     "serve_chaos_grid.json": "TestCommittedSweepSpecs",
     "serve_fig2_16tenants.json": "TestServeSpecs",
+    "serve_fig2_chaos.json": "TestServeSpecs",
     "serve_noisy_neighbor.json": "TestServeSpecs",
     "serve_smoke.json": "TestServeSpecs",
     "utrr_grid.json": "TestCommittedSweepSpecs",

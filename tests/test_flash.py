@@ -141,6 +141,27 @@ class TestArray:
     def make(self):
         return FlashArray(SMALL)
 
+    @pytest.mark.parametrize("geometry", [SMALL, FlashGeometry(
+        channels=3, chips_per_channel=2, planes_per_chip=3,
+        blocks_per_plane=5, pages_per_block=4, page_bytes=512,
+    )])
+    def test_chip_block_page_matches_decompose(self, geometry):
+        array = FlashArray(geometry)
+        for ppa in range(geometry.total_pages):
+            coords = geometry.decompose(ppa)
+            chip, block, page = array._chip_block_page(ppa)
+            assert chip is array.chips[
+                coords.channel * geometry.chips_per_channel + coords.chip
+            ]
+            assert block == coords.plane * geometry.blocks_per_plane + coords.block
+            assert page == coords.page
+        for ppa in (-1, geometry.total_pages):
+            with pytest.raises(FlashAddressError) as expected:
+                geometry.decompose(ppa)
+            with pytest.raises(FlashAddressError) as got:
+                array._chip_block_page(ppa)
+            assert str(got.value) == str(expected.value)
+
     def test_program_read_roundtrip(self):
         array = self.make()
         array.program_page(0, b"X" * 512)

@@ -104,6 +104,18 @@ class TestLifecycle:
         with pytest.raises(FtlCapacityError):
             churn(ftl, rounds=200)
 
+    def test_a_dead_device_keeps_refusing_without_double_sealing(self):
+        """Every allocation after the cliff fails the same clean way, and
+        the block that was open when the pool ran dry is sealed once,
+        however often the allocation is retried."""
+        ftl = make_ftl(endurance=2, blocks=16, num_lbas=64)
+        with pytest.raises(FtlCapacityError):
+            churn(ftl, rounds=200)
+        for _ in range(3):
+            with pytest.raises(FtlCapacityError):
+                ftl.allocate_page()
+        assert len(ftl._sealed) == len(set(ftl._sealed))
+
     def test_mass_retirement_at_death(self):
         """Uniform wear means the fleet dies together — the retired list
         holds a large share of the device at the point of failure."""

@@ -108,6 +108,22 @@ class TestController:
         assert ftl.read(0).data == b"\x01" * 512
         assert ftl.read(96).data == b"\x02" * 512
 
+    def test_device_without_free_blocks_answers_capacity_exceeded(self):
+        controller, _, ftl = build_stack()
+        controller.create_namespace(1, 0, 64)
+        controller.write(1, 0, b"\x01" * 512)
+        # No free block and nothing for GC to reclaim.
+        ftl.free_blocks.clear()
+        ftl._sealed.clear()
+        completion = controller.submit(
+            NvmeCommand(Opcode.WRITE, 1, 1, data=b"\x02" * 512)
+        )
+        assert completion.status is StatusCode.CAPACITY_EXCEEDED
+        burst = controller.write_burst(1, [2, 3], b"\x03" * 512)
+        assert burst.failed == [0, 1]
+        assert controller.metrics.counter("errors").value == 3
+        assert controller.read(1, 0) == b"\x01" * 512
+
     def test_duplicate_nsid_rejected(self):
         controller, _, _ = build_stack()
         controller.create_namespace(1, 0, 32)
